@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import CapExceeded
-from .model import ConstraintLanguage, ValuedConstraint, VCSPInstance, WeightedRelation, opt_of, feas_of, restrict_language
+from .errors import CapExceeded, InternalError
+from .model import ConstraintLanguage, ValuedConstraint, VCSPInstance, WeightedRelation, opt_of, feas_of, restrict_language, scaled_objective
 from .simplex import ExactLP, solve_lp
-from .values import ZERO
+from .values import INF
 
 OP_CAP = 2 * 10**4          # candidate operations per LP
 TUPLE_CAP = 10**6           # feasible-tuple combinations per relation check
@@ -370,7 +370,9 @@ def find_fractional_polymorphism(
     weights = {op: res.x[j] for j, op in enumerate(candidates) if res.x[j] > 0}
     fop = FractionalOperation(weights)
     ok, witness = check_fractional_polymorphism(fop, lang, tuple_cap)
-    assert ok, f"solver returned an invalid fractional polymorphism: {witness}"
+    if not ok:
+        raise InternalError(
+            f"solver returned an invalid fractional polymorphism: {witness}")
     return fop
 
 
@@ -393,7 +395,9 @@ def _max_mass_fpol(lang, candidates, predicate, cap):
     weights = {op: res.x[j] for j, op in enumerate(candidates) if res.x[j] > 0}
     fop = FractionalOperation(weights)
     ok, witness = check_fractional_polymorphism(fop, lang, cap)
-    assert ok, f"solver returned an invalid fractional polymorphism: {witness}"
+    if not ok:
+        raise InternalError(
+            f"solver returned an invalid fractional polymorphism: {witness}")
     return mass, fop
 
 
@@ -615,12 +619,8 @@ def _instances_over(lang, num_vars, num_constraints):
 
 def _objective_relation(inst: VCSPInstance, name: str) -> WeightedRelation:
     """The instance objective as a weighted relation over all its variables."""
-    table = []
-    for asg in itertools.product(range(inst.domain_size), repeat=inst.num_vars):
-        total = ZERO
-        for c in inst.constraints:
-            total = total + c.value(asg)
-        table.append(total)
+    totals, lcm, limit = scaled_objective(inst)
+    table = [Fraction(int(t), lcm) if t <= limit else INF for t in totals]
     return WeightedRelation(name, inst.num_vars, inst.domain_size, table)
 
 
@@ -704,5 +704,7 @@ def kill_operations(
             if not good:
                 killed = True
                 break
-        assert killed, f"certificate for {op.name} did not survive re-verification"
+        if not killed:
+            raise InternalError(
+                f"certificate for {op.name} did not survive re-verification")
     return KillResult(delta, certificates, failures)

@@ -47,8 +47,8 @@ from .lasserre import (
 )
 from .model import ConstraintLanguage, brute_force_opt
 from .reductions import (
-    COPY_CAP,
     Interpretation,
+    _language_arity,
     apply_interpretation,
     oracle_value_identity,
     reduce_equality,
@@ -110,7 +110,6 @@ def _oracle(instance, cap):
 
 def cmd_analyze(args) -> list:
     lang = parse_language(_read(args.language))
-    m_max = args.m_max if args.m_max is not None else 4
     lines = []
     core, _ = compute_core(lang)
     lines.append(f"core = {'yes' if core.is_core else 'no'}")
@@ -119,7 +118,7 @@ def cmd_analyze(args) -> list:
     if not core.is_core:
         for x in sorted(core.restriction_map):
             lines.append(f"core map {x} = {core.restriction_map[x]}")
-    bwc = bwc_report(lang, m_max=m_max)
+    bwc = bwc_report(lang, m_max=args.m_max)
     for m in sorted(bwc.verdicts):
         lines.append(f"bwc {m} = {bwc.verdicts[m]}")
     lines.append(f"bwc summary = {bwc.summary}")
@@ -130,10 +129,10 @@ def cmd_analyze(args) -> list:
             "linear relaxation levels required")
     elif all(s == "satisfied" for s in bwc.verdicts.values()):
         lines.append(
-            f"verdict = SA(3)-solvable (BWC satisfied up to {m_max})")
+            f"verdict = SA(3)-solvable (BWC satisfied up to {args.m_max})")
     else:
         lines.append("verdict = inconclusive (BWC undecided within caps)")
-    lines.append(f"caveat = BWC checked up to arity {m_max} only")
+    lines.append(f"caveat = BWC checked up to arity {args.m_max} only")
     return lines
 
 
@@ -284,10 +283,8 @@ def _build_trace(args, lang, inst):
             raise VcspError(f"--type {kind} needs --phi <relation name>")
         if args.phi not in lang:
             raise VcspError(f"unknown relation {args.phi!r}")
-        phi = lang.get(args.phi)
-        cap = args.m_max if args.m_max is not None else COPY_CAP
         fn = reduce_opt if kind == "opt" else reduce_feas
-        return fn(inst, phi, copy_cap=cap)
+        return fn(inst, lang.get(args.phi))
     raise VcspError(f"unknown reduction type {kind!r}")
 
 
@@ -342,7 +339,6 @@ def cmd_verify(args) -> list:
     lines.extend(report.as_lines())
     kprime = args.transport_level if args.transport_level is not None else 1
     try:
-        from .reductions import _language_arity
         k = max(kprime, _language_arity(trace.produced)) \
             * _language_arity(trace.source)
         model = build_las(trace.source, 2 * k)
@@ -361,12 +357,12 @@ def cmd_verify(args) -> list:
         lines.append(
             f"transport source objective = "
             f"{_fmt_float(lam.objective, lam.eps)}")
-        bound = 10 * kap.eps
-        ok = (max(kap.residuals[k2] for k2 in
-                  ("unit", "class_spread", "zero_ties", "affine",
-                   "negativity")) <= bound
-              and kap.residuals["min_eig"] >= -bound
-              and kap.objective <= lam.objective + 1e-5)
+        # condition (b) bounds each piece by its scaled source value, so
+        # the produced objective stays within the trace's value relation
+        bound = (float(trace.value_scale) * lam.objective
+                 + float(trace.value_offset + trace.residue_hi))
+        ok = (kap.within_tolerance() and kap.objective
+              <= bound + 10 * kap.eps * max(1.0, abs(bound)))
         lines.append(f"transport ok = {ok}")
     except (CapExceeded, NonConvergence, VcspError) as e:
         lines.append(f"transport = skipped ({e})")
@@ -430,10 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: no dumps)")
     shared.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP,
                         help="brute-force enumeration cap (default: 10^7)")
-    shared.add_argument("--m-max", type=int, default=None,
-                        help="arity ceiling for analyze (default 4) or "
-                             "copy-count cap for reduce/verify "
-                             "(default 10^6)")
 
     parser = argparse.ArgumentParser(
         prog="vcsprelax",
@@ -444,6 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[shared],
                        help="language algebra: core and width criterion")
     p.add_argument("--language", required=True, help="language file")
+    p.add_argument("--m-max", type=int, default=4,
+                   help="largest arity checked for BWC (default: 4)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("relax", parents=[shared],

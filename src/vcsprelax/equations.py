@@ -29,7 +29,7 @@ from .lasserre import (
     solve_sdp,
     verify_L7,
 )
-from .model import INF, ZERO, VCSPInstance, WeightedRelation
+from .model import INF, ZERO, VCSPInstance, WeightedRelation, is_satisfiable
 
 TABLE_CAP = 1_000_000
 BRUTE_CAP = 10_000_000
@@ -203,17 +203,7 @@ def linear_satisfiable(instance: VCSPInstance, group: AbelianGroup,
 
     if _is_prime(group.order):
         return _eliminate(system, instance.num_vars, group.order)
-
-    if group.order ** instance.num_vars > brute_cap:
-        raise CapExceeded(
-            f"{group.order ** instance.num_vars} assignments exceed "
-            f"cap {brute_cap}")
-    for assignment in itertools.product(group.elements(),
-                                        repeat=instance.num_vars):
-        if all(group.sum(assignment[v] for v in scope) == rhs
-               for scope, rhs in system):
-            return True
-    return False
+    return is_satisfiable(instance, cap=brute_cap)
 
 
 def _eliminate(system, num_vars: int, p: int) -> bool:
@@ -381,11 +371,8 @@ def _probe_instance(instance, group, level, meta, eps, max_iter, row_cap):
     # candidate gap: recompute the residuals from the matrix and replay
     # the extra-identity audit before believing the solver
     fresh = model.residual_report(sol.M)
-    bound = 10 * sol.eps
-    feasible = (max(fresh[k] for k in ("unit", "class_spread", "zero_ties",
-                                       "affine", "negativity")) <= bound
-                and fresh["min_eig"] >= -bound)
-    l7 = verify_L7(sol, model, eps=bound)
+    feasible = sol.within_tolerance(fresh)
+    l7 = verify_L7(sol, model, eps=10 * sol.eps)
     diagnostics["iterations"] = sol.iterations
     diagnostics.update((f"residual_{k}", v) for k, v in fresh.items())
     diagnostics["l7_ok"] = l7.ok

@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: parse/config errors -> 2, cap errors -> 3,
-solver non-convergence -> 4.
+solver non-convergence -> 4.  InternalError is not a VcspError and has no
+exit code of its own: it signals a bug, not bad input.
 """
 
 
@@ -27,3 +28,7 @@ class ArityError(VcspError):
 
 class NonConvergence(VcspError):
     """Iterative solver stopped without reaching the target residual."""
+
+
+class InternalError(RuntimeError):
+    """A result failed its own re-verification."""

@@ -191,6 +191,17 @@ class GramSolution:
         self.residuals = residuals
         self.model = model
 
+    def within_tolerance(self, residuals=None) -> bool:
+        """The residual-acceptance rule: the unit, class-spread, zero-tie,
+        affine and negativity residuals are at most 10*eps and no
+        eigenvalue lies below -10*eps.  Judges `residuals` (by default
+        the solution's own) against this solution's eps."""
+        r = self.residuals if residuals is None else residuals
+        bound = 10 * self.eps
+        return (max(r[k] for k in ("unit", "class_spread", "zero_ties",
+                                   "affine", "negativity")) <= bound
+                and r["min_eig"] >= -bound)
+
     def __repr__(self):
         return (f"GramSolution(objective={self.objective:.6g}, "
                 f"iterations={self.iterations})")

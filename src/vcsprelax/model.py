@@ -19,9 +19,8 @@ from .values import INF, ZERO, ExtValue
 
 ENUM_CAP = 10**7
 
-# switch to the vectorised enumeration path above this many assignments
-_NUMPY_PATH_MIN = 1 << 14
-_INT64_SAFE = 1 << 62
+# assignments per vectorised block of the enumerator
+_CHUNK = 1 << 20
 
 
 class WeightedRelation:
@@ -212,6 +211,69 @@ def evaluate(instance: VCSPInstance, assignment) -> ExtValue:
     return total
 
 
+def decode(index: int, length: int, domain_size: int) -> tuple:
+    """The tuple whose big-endian base-d encoding is `index`."""
+    return tuple((index // domain_size ** (length - 1 - v)) % domain_size
+                 for v in range(length))
+
+
+def _scaled_totals(instance: VCSPInstance, cap: int):
+    """Exact objective of every assignment as integers on a common scale.
+
+    Finite costs are multiplied by `lcm`, the lcm of their denominators.
+    An infinite cost becomes a penalty above twice the largest total the
+    finite costs can reach, so a total stands for a finite value exactly
+    when it is at most `limit`.  Totals are int64 when no sum can
+    overflow it and Python ints (dtype=object) otherwise; the statements
+    are the same for both.
+
+    Returns (chunks, lcm, limit).  `chunks` yields (start, totals), where
+    totals[i] belongs to the assignment with encoding start + i; a chunk
+    holds at most _CHUNK assignments, so memory stays bounded.  Raises
+    CapExceeded when d^n > cap.
+    """
+    n, d = instance.num_vars, instance.domain_size
+    space = d**n
+    if space > cap:
+        raise CapExceeded(f"assignment space {d}^{n} exceeds cap {cap}")
+    rels = instance.relations()
+    lcm = math.lcm(1, *(v.frac.denominator
+                        for rel in rels for v in rel.table if v.is_finite))
+    ints = {id(rel): [int(v.frac * lcm) if v.is_finite else None
+                      for v in rel.table] for rel in rels}
+    q = len(instance.constraints)
+    limit = q * max((abs(x) for t in ints.values() for x in t if x is not None),
+                    default=0)
+    penalty = 2 * limit + 1
+    dtype = np.int64 if q * penalty < 1 << 63 else object
+    tables = {key: np.array([penalty if x is None else x for x in t], dtype=dtype)
+              for key, t in ints.items()}
+    strides = [d ** (n - 1 - v) for v in range(n)]
+
+    def chunks():
+        for start in range(0, space, _CHUNK):
+            ids = np.arange(start, min(start + _CHUNK, space), dtype=np.int64)
+            totals = np.zeros(ids.shape, dtype=dtype)
+            for c in instance.constraints:
+                idx = np.zeros(ids.shape, dtype=np.int64)
+                for x in c.scope:
+                    idx = idx * d + (ids // strides[x]) % d
+                totals += tables[id(c.relation)][idx]
+            yield start, totals
+
+    return chunks(), lcm, limit
+
+
+def scaled_objective(instance: VCSPInstance, cap: int = ENUM_CAP):
+    """(totals, lcm, limit): the objective of all d^n assignments.
+
+    totals[i] / lcm is the value of the assignment with encoding i when
+    totals[i] <= limit; above limit the value is infinite.
+    """
+    chunks, lcm, limit = _scaled_totals(instance, cap)
+    return np.concatenate([t for _, t in chunks]), lcm, limit
+
+
 def brute_force_opt(instance: VCSPInstance, cap: int = ENUM_CAP):
     """Exact optimum by full enumeration.
 
@@ -219,101 +281,43 @@ def brute_force_opt(instance: VCSPInstance, cap: int = ENUM_CAP):
     smallest optimal one, or (INF, None) when no assignment has finite value.
     Raises CapExceeded when d^n > cap.
     """
-    n, d = instance.num_vars, instance.domain_size
-    if n == 0:
-        return ZERO, ()
-    space = d**n
-    if space > cap:
-        raise CapExceeded(f"assignment space {d}^{n} exceeds cap {cap}")
-    if space >= _NUMPY_PATH_MIN:
-        result = _brute_force_numpy(instance)
-        if result is not None:
-            return result
-    best_val, best_asg = INF, None
-    for asg in itertools.product(range(d), repeat=n):
-        val = evaluate(instance, asg)
-        if val < best_val:
-            best_val, best_asg = val, asg
-    if best_asg is None:
+    chunks, lcm, limit = _scaled_totals(instance, cap)
+    best = best_id = None
+    for start, totals in chunks:
+        pos = int(np.argmin(totals))
+        if totals[pos] <= limit and (best is None or totals[pos] < best):
+            best, best_id = totals[pos], start + pos
+    if best is None:
         return INF, None
-    return best_val, best_asg
+    n, d = instance.num_vars, instance.domain_size
+    return ExtValue(Fraction(int(best), lcm)), decode(best_id, n, d)
+
+
+def optimal_assignments(instance: VCSPInstance, cap: int = ENUM_CAP):
+    """(value, every optimal assignment in lexicographic order).
+
+    Returns (INF, []) when no assignment has finite value.  Raises
+    CapExceeded when d^n > cap.
+    """
+    chunks, lcm, limit = _scaled_totals(instance, cap)
+    best, ids = None, []
+    for start, totals in chunks:
+        low = totals.min()
+        if low > limit or (best is not None and low > best):
+            continue
+        if best is None or low < best:
+            best, ids = low, []
+        ids.extend(start + np.flatnonzero(totals == low))
+    if best is None:
+        return INF, []
+    n, d = instance.num_vars, instance.domain_size
+    return (ExtValue(Fraction(int(best), lcm)),
+            [decode(int(i), n, d) for i in ids])
 
 
 def is_satisfiable(instance: VCSPInstance, cap: int = ENUM_CAP) -> bool:
     value, _ = brute_force_opt(instance, cap=cap)
     return value.is_finite
-
-
-def _scaled_tables(instance: VCSPInstance):
-    """Integer-scaled copies of all tables, or None when int64 is unsafe.
-
-    Returns (lcm, {id(rel): (int_table, inf_mask)}).
-    """
-    lcm = 1
-    for rel in instance.relations():
-        for v in rel.table:
-            if v.is_finite:
-                lcm = math.lcm(lcm, v.frac.denominator)
-    tables = {}
-    bound = 0
-    for rel in instance.relations():
-        ints, infs = [], []
-        m = 0
-        for v in rel.table:
-            if v.is_finite:
-                x = int(v.frac * lcm)
-                ints.append(x)
-                infs.append(False)
-                m = max(m, abs(x))
-            else:
-                ints.append(0)
-                infs.append(True)
-        tables[id(rel)] = (
-            np.array(ints, dtype=np.int64),
-            np.array(infs, dtype=bool),
-        )
-        bound += m
-    if bound * max(1, len(instance.constraints)) >= _INT64_SAFE:
-        return None
-    return lcm, tables
-
-
-def _brute_force_numpy(instance: VCSPInstance):
-    """Vectorised exact enumeration; assignment ids follow lex order."""
-    scaled = _scaled_tables(instance)
-    if scaled is None:
-        return None
-    lcm, tables = scaled
-    n, d = instance.num_vars, instance.domain_size
-    space = d**n
-    strides = [d ** (n - 1 - v) for v in range(n)]
-    chunk = 1 << 20
-    best_val = None
-    best_id = None
-    for start in range(0, space, chunk):
-        ids = np.arange(start, min(start + chunk, space), dtype=np.int64)
-        obj = np.zeros(ids.shape, dtype=np.int64)
-        inf = np.zeros(ids.shape, dtype=bool)
-        for c in instance.constraints:
-            idx = np.zeros(ids.shape, dtype=np.int64)
-            for x in c.scope:
-                idx = idx * d + (ids // strides[x]) % d
-            int_table, inf_mask = tables[id(c.relation)]
-            obj += int_table[idx]
-            inf |= inf_mask[idx]
-        feas = ~inf
-        if not feas.any():
-            continue
-        obj_masked = np.where(feas, obj, np.iinfo(np.int64).max)
-        pos = int(np.argmin(obj_masked))
-        val = int(obj_masked[pos])
-        if best_val is None or val < best_val:
-            best_val = val
-            best_id = int(ids[pos])
-    if best_val is None:
-        return INF, None
-    asg = tuple((best_id // strides[v]) % d for v in range(n))
-    return ExtValue(Fraction(best_val, lcm)), asg
 
 
 class ConstraintLanguage:

@@ -32,9 +32,12 @@ from .model import (
     VCSPInstance,
     WeightedRelation,
     brute_force_opt,
+    decode,
     evaluate,
     feas_of,
     opt_of,
+    optimal_assignments,
+    scaled_objective,
 )
 
 EXPRESS_CAP = 1_000_000
@@ -83,25 +86,18 @@ class Gadget:
             return self._expressed
         d = self.template.domain_size
         m, p = len(self.externals), len(self.aux_slots)
-        if d ** (m + p) > cap:
-            raise CapExceeded(
-                f"gadget enumeration {d}^{m + p} exceeds cap {cap}")
-        entries = {}
-        canonical = {}
-        asg = [0] * self.template.num_vars
-        for ext in itertools.product(range(d), repeat=m):
-            for slot, val in zip(self.externals, ext):
-                asg[slot] = val
-            best, best_aux = INF, None
-            for aux in itertools.product(range(d), repeat=p):
-                for slot, val in zip(self.aux_slots, aux):
-                    asg[slot] = val
-                v = evaluate(self.template, asg)
-                if v < best:
-                    best, best_aux = v, aux
-            if best.is_finite:
-                entries[ext] = best.frac
-                canonical[ext] = best_aux
+        totals, lcm, limit = scaled_objective(self.template, cap)
+        # rows: external assignments, columns: auxiliary ones, both in
+        # lexicographic order, so argmin picks the smallest minimiser
+        grid = (totals.reshape((d,) * (m + p))
+                .transpose(self.externals + self.aux_slots)
+                .reshape(d**m, d**p))
+        best, first = grid.min(axis=1), grid.argmin(axis=1)
+        entries, canonical = {}, {}
+        for e in np.flatnonzero(best <= limit):
+            ext = decode(int(e), m, d)
+            entries[ext] = Fraction(int(best[e]), lcm)
+            canonical[ext] = decode(int(first[e]), p, d)
         self._expressed = WeightedRelation.from_entries(
             self.target_name, m, d, entries, default=INF)
         self._canonical = canonical
@@ -133,10 +129,6 @@ class Gadget:
     def __repr__(self):
         return (f"Gadget({self.target_name!r}, externals={self.externals}, "
                 f"aux={len(self.aux_slots)})")
-
-
-def express(gadget: Gadget, cap: int = EXPRESS_CAP) -> WeightedRelation:
-    return gadget.express(cap)
 
 
 class TracePiece:
@@ -435,10 +427,9 @@ class Interpretation:
             return
         for t, v in enumerate(want.table):
             if got.table[t] != v:
-                witness = np.unravel_index(t, (want.domain_size,) * want.arity)
                 raise VcspError(
                     f"interpretation gadget {label!r} expresses "
-                    f"{got.table[t]} at {tuple(int(x) for x in witness)}, "
+                    f"{got.table[t]} at {decode(t, want.arity, want.domain_size)}, "
                     f"required {v}")
         raise VcspError(f"interpretation gadget {label!r} has wrong shape")
 
@@ -759,32 +750,28 @@ def verify_reduction(trace: ReductionTrace,
                 f"verification needs more than {sample_budget} evaluations")
 
     # (a) optimal produced assignments pull back
-    nj, dj = produced.num_vars, produced.domain_size
-    charge(dj ** nj)
-    opt_val, _ = brute_force_opt(produced, cap=sample_budget)
+    charge(produced.domain_size ** produced.num_vars)
+    opt_val, optima = optimal_assignments(produced, cap=sample_budget)
     cond_a = {"ok": True, "checked": 0, "witness": None}
-    if opt_val.is_finite:
-        for a in itertools.product(range(dj), repeat=nj):
-            if evaluate(produced, a) != opt_val:
-                continue
-            cond_a["checked"] += 1
-            sigma = trace.pull_back(a)
-            bad = None
-            if sigma is None:
-                bad = "no pullback"
-            else:
-                v_src = evaluate(source, sigma)
-                if not v_src.is_finite:
-                    bad = f"pullback {sigma} does not satisfy the source"
-                elif (trace.value_scale * v_src.frac + trace.value_offset
-                      > opt_val.frac + trace.a_slack):
-                    bad = (f"pullback {sigma} has scaled value "
-                           f"{trace.value_scale * v_src.frac} above "
-                           f"{opt_val.frac}")
-            if bad:
-                cond_a = {"ok": False, "checked": cond_a["checked"],
-                          "witness": f"alpha={a}: {bad}"}
-                break
+    for a in optima:
+        cond_a["checked"] += 1
+        sigma = trace.pull_back(a)
+        bad = None
+        if sigma is None:
+            bad = "no pullback"
+        else:
+            v_src = evaluate(source, sigma)
+            if not v_src.is_finite:
+                bad = f"pullback {sigma} does not satisfy the source"
+            elif (trace.value_scale * v_src.frac + trace.value_offset
+                  > opt_val.frac + trace.a_slack):
+                bad = (f"pullback {sigma} has scaled value "
+                       f"{trace.value_scale * v_src.frac} above "
+                       f"{opt_val.frac}")
+        if bad:
+            cond_a = {"ok": False, "checked": cond_a["checked"],
+                      "witness": f"alpha={a}: {bad}"}
+            break
 
     # (b) per-piece maps exist and respect the scaled value bound
     di = source.domain_size

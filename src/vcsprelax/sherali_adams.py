@@ -22,8 +22,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import CapExceeded
-from .model import VCSPInstance, brute_force_opt
+from .errors import CapExceeded, InternalError
+from .model import VCSPInstance
 from .simplex import ExactLP, solve_lp
 from .values import INF, ZERO, ExtValue
 
@@ -249,7 +249,8 @@ def solve_lp_exact(model: SaModel) -> SaSolution:
     res = solve_lp(model.lp)
     if res.status == "infeasible":
         return SaSolution("infeasible", INF, {}, res.pivots)
-    assert res.status == "optimal", res.status
+    if res.status != "optimal":
+        raise InternalError(f"exact simplex returned status {res.status!r}")
     lam = {
         key: res.x[col] for key, col in model.col_of.items()
     }
@@ -328,9 +329,3 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
                 note("marginal", (i, j, tau), s - lam_at(j, tau))
 
     return SaCheck(max_res == 0, max_res, violations)
-
-
-def sa_tight_level(instance: VCSPInstance) -> int:
-    """Level at which the hierarchy is always exact: the variable count
-    (a single joint distribution over full assignments remains)."""
-    return max(1, instance.num_vars)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import vcsprelax.algebra as algebra
 from vcsprelax.algebra import (
     BwcReport,
     FractionalOperation,
@@ -28,7 +29,7 @@ from vcsprelax.algebra import (
     symmetric_operations,
     wnu_candidate_operations,
 )
-from vcsprelax.errors import CapExceeded
+from vcsprelax.errors import CapExceeded, InternalError
 from vcsprelax.model import ConstraintLanguage, WeightedRelation
 
 
@@ -190,6 +191,18 @@ def test_find_fractional_polymorphism_exists():
     fop = find_fractional_polymorphism(lang, 2)
     assert fop is not None
     assert sum(w for _, w in fop.items()) == 1
+
+
+def test_rejected_solver_witness_raises(monkeypatch):
+    # a witness that fails re-verification is an internal fault, and it
+    # must surface even under python -O
+    monkeypatch.setattr(algebra, "check_fractional_polymorphism",
+                        lambda fop, lang, cap: (False, "forced rejection"))
+    lang = ConstraintLanguage(2, [imp_soft()])
+    with pytest.raises(InternalError, match="forced rejection"):
+        find_fractional_polymorphism(lang, 2)
+    with pytest.raises(InternalError, match="forced rejection"):
+        supp_membership(lang, MAX2)
 
 
 def test_supp_membership_on_soft_implication():

@@ -398,6 +398,49 @@ def test_verify_eq_with_transport(capsys, demo, tmp_path):
     assert obj_line.endswith("(float, eps = 1e-07)")
 
 
+@pytest.mark.parametrize("kind, phi, body, scale, offset, residue_hi", [
+    ("opt", "soft", "constraint softopt 0\nconstraint imp 0 1\n",
+     1, Fraction(11, 3), 0),
+    ("feas", "phif", "constraint phifeas 0\nconstraint imp 1 0\n",
+     5, 0, Fraction(3, 2)),
+])
+def test_verify_opt_feas_with_transport(capsys, tmp_path, kind, phi, body,
+                                        scale, offset, residue_hi):
+    # the transported objective obeys the trace's value relation, not the
+    # bare source objective: produced <= scale * source + offset + residue;
+    # on these two sources it meets that bound
+    lang = _write(tmp_path, "lang2.txt", OPT_LANG)
+    inst = _write(tmp_path, f"inst_{kind}.txt", "vars 2\n" + body)
+    rc, out, _ = _run(
+        capsys,
+        ["verify", "--language", lang, "--instance", inst,
+         "--type", kind, "--phi", phi],
+    )
+    assert rc == 0
+    assert "verified = True" in out
+    assert "transport ok = True" in out
+
+    def number(key):
+        (line,) = [l for l in out if l.startswith(key + " = ")]
+        return float(line.split(" = ")[1].split()[0])
+
+    produced = number("transport objective")
+    source = number("transport source objective")
+    bound = scale * source + float(offset + residue_hi)
+    assert bound - 1e-5 <= produced <= bound + 1e-5
+
+
+def test_m_max_belongs_to_analyze(capsys, demo):
+    rc, out, _ = _run(
+        capsys, ["analyze", "--language", demo["lang"], "--m-max", "3"])
+    assert rc == 0
+    assert "caveat = BWC checked up to arity 3 only" in out
+    # reduce and verify take their copy cap from the library constant
+    with pytest.raises(SystemExit):
+        main(["reduce", "--language", demo["lang"], "--instance",
+              demo["inst"], "--type", "eq", "--m-max", "3"])
+
+
 def test_gapsearch_kxor_report(capsys, tmp_path):
     out_dir = tmp_path / "gs"
     rc, out, _ = _run(

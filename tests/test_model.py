@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import vcsprelax.model as model
 from vcsprelax.errors import CapExceeded
 from vcsprelax.model import (
     ConstraintLanguage,
@@ -14,7 +15,9 @@ from vcsprelax.model import (
     evaluate,
     feas_of,
     opt_of,
+    optimal_assignments,
     restrict_relation,
+    scaled_objective,
 )
 from vcsprelax.values import INF, ZERO, ExtValue
 
@@ -137,15 +140,47 @@ def _reference_brute_force(inst):
     return best_val, best_asg
 
 
-def test_vectorised_path_matches_reference():
-    # the chunked integer-scaled path must agree exactly with the plain loop
+def _reference_optima(inst):
+    vals = {asg: evaluate(inst, asg) for asg in
+            itertools.product(range(inst.domain_size), repeat=inst.num_vars)}
+    best = min(vals.values())
+    if not best.is_finite:
+        return INF, []
+    return best, [asg for asg, v in vals.items() if v == best]
+
+
+def test_vectorised_path_matches_reference(monkeypatch):
+    # the chunked integer-scaled enumerator must agree exactly with the
+    # plain loop: below and above 2^14 assignments, on totals that
+    # overflow int64, and with chunks of 7 that split tied optima
     rng = random.Random(7)
-    for trial in range(8):
-        inst = _random_instance(rng, n=8, d=2, q=6)
-        got_val, got_asg = brute_force_opt(inst)
-        ref_val, ref_asg = _reference_brute_force(inst)
-        assert got_val == ref_val
-        assert got_asg == ref_asg
+    cases = [_random_instance(rng, n=8, d=2, q=6) for _ in range(8)]
+    cases.append(_random_instance(rng, n=15, d=2, q=8))
+    # denominators are five distinct primes near 10^9, so the common
+    # scale is near 10^45 and the totals only fit Python ints
+    p = (999999937, 999999929, 999999893, 999999883, 999999797)
+    wide = WeightedRelation("wide", 2, 3, [
+        Fraction(1, p[0]), Fraction(1, p[1]), Fraction(-1, p[2]),
+        Fraction(2, p[3]), Fraction(1, p[4]), INF,
+        Fraction(3, p[0]), Fraction(-2, p[1]), Fraction(1, p[2])])
+    for _ in range(3):
+        inst = VCSPInstance(5, 3)
+        for _ in range(5):
+            inst.add_constraint(wide, [rng.randrange(5) for _ in range(2)])
+        assert scaled_objective(inst)[0].dtype == object
+        cases.append(inst)
+    cases += [_random_instance(rng, n=6, d=2, q=3, denom_pool=(1,))
+              for _ in range(6)]
+    flat = WeightedRelation("flat", 1, 3, [1, 1, 1])
+    cases.append(VCSPInstance(4, 3, [ValuedConstraint(flat, (v,))
+                                     for v in range(4)]))
+    want = [_reference_optima(inst) for inst in cases]
+    for chunk in (model._CHUNK, 7):
+        monkeypatch.setattr(model, "_CHUNK", chunk)
+        for inst, (value, optima) in zip(cases, want):
+            first = optima[0] if optima else None
+            assert brute_force_opt(inst) == (value, first)
+            assert optimal_assignments(inst) == (value, optima)
 
 
 def test_vectorised_path_matches_reference_d3():

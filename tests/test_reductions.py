@@ -14,6 +14,7 @@ from vcsprelax.model import (
     VCSPInstance,
     WeightedRelation,
     brute_force_opt,
+    evaluate,
     feas_of,
     opt_of,
 )
@@ -21,7 +22,6 @@ from vcsprelax.reductions import (
     Gadget,
     Interpretation,
     apply_interpretation,
-    express,
     oracle_value_identity,
     reduce_equality,
     reduce_expressibility,
@@ -54,7 +54,7 @@ def unit_gadget(rel, name):
 
 def test_express_chain_gadget():
     g = chain_gadget()
-    rel = express(g)
+    rel = g.express()
     # min_v imp(a,v)+imp(v,b) pays 1 only on (1,0); the canonical witness
     # is the smallest minimising v, so (1,1) picks v=1 and the rest v=0
     want = {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
@@ -68,12 +68,12 @@ def test_express_chain_gadget():
 def test_express_degenerate_and_infinite():
     # p = 0 keeps the relation as is
     g = unit_gadget(imp, "imp")
-    assert express(g) == imp
+    assert g.express() == imp
     # an all-infinite template expresses the all-infinite relation
     dead = WeightedRelation.from_entries("dead", 1, 2, {}, default=INF)
     tmpl = VCSPInstance(2, 2).add_constraint(dead, (1,))
     g2 = Gadget("never", (0,), tmpl)
-    rel2 = express(g2)
+    rel2 = g2.express()
     assert all(not v.is_finite for v in rel2.table)
     assert g2.canonical_aux((0,)) is None
 
@@ -83,11 +83,52 @@ def test_express_cap_and_validation():
     tmpl.add_constraint(imp, (0, 1))
     g = Gadget("big", (0,), tmpl)
     with pytest.raises(CapExceeded):
-        express(g)
+        g.express()
     with pytest.raises(ValueError):
         Gadget("dup", (0, 0), tmpl)
     with pytest.raises(ValueError):
         Gadget("oob", (0, 99), tmpl)
+
+
+def _reference_express(g):
+    """Plain loop: per external tuple, the first minimising auxiliary
+    tuple in lexicographic order."""
+    d, n = g.template.domain_size, g.template.num_vars
+    table, canonical = [], {}
+    for ext in itertools.product(range(d), repeat=len(g.externals)):
+        best, best_aux = INF, None
+        for aux in itertools.product(range(d), repeat=len(g.aux_slots)):
+            asg = [0] * n
+            for slot, val in zip(g.externals + g.aux_slots, ext + aux):
+                asg[slot] = val
+            v = evaluate(g.template, asg)
+            if v < best:
+                best, best_aux = v, aux
+        table.append(best)
+        canonical[ext] = best_aux
+    return table, canonical
+
+
+def test_express_matches_reference_loop():
+    rng = random.Random(23)
+    for trial in range(12):
+        d = rng.choice([2, 3])
+        n = rng.randint(3, 5)
+        rels = [WeightedRelation(f"r{i}", a, d, [
+            INF if rng.random() < 0.2 else Fraction(rng.randint(-3, 4),
+                                                    rng.choice((1, 2)))
+            for _ in range(d**a)]) for i, a in enumerate((1, 2, 2))]
+        tmpl = VCSPInstance(n, d)
+        for _ in range(rng.randint(2, 5)):
+            rel = rng.choice(rels)
+            tmpl.add_constraint(rel, [rng.randrange(n) for _ in range(rel.arity)])
+        externals = rng.sample(range(n), rng.randint(1, n - 2))
+        g = Gadget("t", externals, tmpl)
+        assert len(g.aux_slots) >= 2
+        table, canonical = _reference_express(g)
+        assert g.express().table == tuple(table), f"trial {trial}"
+        for ext, aux in canonical.items():
+            assert g.canonical_aux(ext) == aux, f"trial {trial} at {ext}"
 
 
 def test_reduce_expressibility_no_gadgets_is_identity():

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from vcsprelax.errors import CapExceeded
+import vcsprelax.sherali_adams as sherali_adams
+from vcsprelax.errors import CapExceeded, InternalError
 from vcsprelax.model import (
     VCSPInstance,
     WeightedRelation,
@@ -17,10 +18,10 @@ from vcsprelax.model import (
 from vcsprelax.sherali_adams import (
     build_sa,
     lp_opt,
-    sa_tight_level,
     solve_lp_exact,
     verify_sa,
 )
+from vcsprelax.simplex import LPResult
 from vcsprelax.values import INF, ZERO, ExtValue
 
 
@@ -165,7 +166,7 @@ def test_full_level_matches_brute_force():
     for trial in range(12):
         inst = _random_instance(rng, n=rng.randint(1, 4), d=2, q=rng.randint(1, 5))
         exact = brute_force_opt(inst)[0]
-        assert lp_opt(inst, sa_tight_level(inst)) == exact, f"trial {trial}"
+        assert lp_opt(inst, max(1, inst.num_vars)) == exact, f"trial {trial}"
 
 
 def test_monotone_in_level():
@@ -262,3 +263,13 @@ def test_solution_blocks_are_distributions():
         mass[i] = mass.get(i, Fraction(0)) + w
     assert set(mass) == set(range(len(model.aug)))
     assert all(m == 1 for m in mass.values())
+
+
+def test_unexpected_lp_status_raises(monkeypatch):
+    # an SA model is bounded, so "unbounded" is an internal fault; it must
+    # raise even under python -O
+    monkeypatch.setattr(sherali_adams, "solve_lp",
+                        lambda lp: LPResult("unbounded"))
+    inst = VCSPInstance(2, 2).add_constraint(eq2(), (0, 1))
+    with pytest.raises(InternalError, match="unbounded"):
+        solve_lp_exact(build_sa(inst, 2))
