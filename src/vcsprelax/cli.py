@@ -153,6 +153,9 @@ def cmd_relax(args) -> list:
         lines.append(f"lp_opt = {_fmt(sol.value)}")
         lines.append(f"status = {sol.status}")
         lines.append(f"pivots = {sol.pivots}")
+        lines.append(f"lp path = {sol.path}")
+        lines.append("certificate = "
+                     + (sol.certificate.kind if sol.certificate else "none"))
         if vcsp is None:
             lines.append("gap = unknown")
         else:

@@ -100,14 +100,19 @@ class SaSolution:
     `lam` maps (augmented constraint index, assignment tuple) to a
     nonnegative Fraction; assignments eliminated at build time are zero and
     not listed.  `value` is the attained objective, infinite when the LP is
-    infeasible.
+    infeasible.  `certificate` and `path` come from the exact LP solver:
+    the evidence for the answer against `model.lp` (a dual or a Farkas
+    ray, or None) and how it was found.
     """
 
-    def __init__(self, status, value, lam, pivots=0):
+    def __init__(self, status, value, lam, pivots=0, certificate=None,
+                 path="two-phase"):
         self.status = status            # 'optimal' | 'infeasible'
         self.value = value              # ExtValue
         self.lam = lam
         self.pivots = pivots
+        self.certificate = certificate  # simplex.Certificate or None
+        self.path = path                # 'certified' | 'guided' | 'two-phase'
 
     def __repr__(self):
         return f"SaSolution(status={self.status!r}, value={self.value})"
@@ -248,13 +253,14 @@ def build_sa(
 def solve_lp_exact(model: SaModel) -> SaSolution:
     res = solve_lp(model.lp)
     if res.status == "infeasible":
-        return SaSolution("infeasible", INF, {}, res.pivots)
+        return SaSolution("infeasible", INF, {}, res.pivots, res.certificate, res.path)
     if res.status != "optimal":
         raise InternalError(f"exact simplex returned status {res.status!r}")
     lam = {
         key: res.x[col] for key, col in model.col_of.items()
     }
-    return SaSolution("optimal", ExtValue(res.value), lam, res.pivots)
+    return SaSolution("optimal", ExtValue(res.value), lam, res.pivots,
+                      res.certificate, res.path)
 
 
 def lp_opt(
@@ -277,13 +283,58 @@ class SaCheck:
         return f"SaCheck(ok={self.ok}, max_residual={self.max_residual})"
 
 
+def _certificate_problems(lp, cert, kind, value=None):
+    """Exact check of an LP certificate of `kind` against `lp` as built,
+    with no solver code: (kind, detail, residual) for each failed
+    condition, empty when the certificate holds.
+
+    Both kinds need y_i <= 0 on `le` rows.  A Farkas ray needs
+    A^T y <= 0 on every column and b.y > 0; a dual needs A^T y <= c on
+    every column and b.y == value."""
+    if cert is None or cert.kind != kind:
+        return [(kind, "missing", Fraction(0))]
+    if len(cert.y) != len(lp.rows):
+        return [(kind, "length", Fraction(len(cert.y) - len(lp.rows)))]
+    out = []
+    aty = {}
+    by = Fraction(0)
+    for i, ((coeffs, b, row_kind), yi) in enumerate(zip(lp.rows, cert.y)):
+        if row_kind == "le" and yi > 0:
+            out.append((kind, ("sign", i), yi))
+        if yi:
+            by += yi * b
+            for c, v in coeffs.items():
+                aty[c] = aty.get(c, 0) + yi * v
+    if kind == "farkas":
+        out += [(kind, ("column", c), s) for c, s in sorted(aty.items()) if s > 0]
+        if by <= 0:
+            out.append((kind, "b.y", by))
+    else:
+        for c in range(lp.num_vars):
+            slack = lp.objective.get(c, 0) - aty.get(c, 0)
+            if slack < 0:
+                out.append((kind, ("column", c), slack))
+        if by != value:
+            out.append((kind, "b.y", by - value))
+    return out
+
+
 def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) -> SaCheck:
-    """Exact residual check of the four defining conditions on the full
+    """Exact check of a solution, independent of the solver.
+
+    An infeasible answer must carry a Farkas ray for `model.lp`.  An
+    optimum is checked on the four defining conditions in the full
     quantifier form: nonnegativity, zeros outside the feasible sets, unit
     mass per block, and marginal consistency for every pair of augmented
-    constraints whose scope-sets nest within the level bound."""
+    constraints whose scope-sets nest within the level bound.  Its
+    objective must equal `value`, and a dual it carries must prove that
+    value optimal."""
+    cert = solution.certificate
     if solution.status != "optimal":
-        return SaCheck(True, Fraction(0), [])
+        problems = _certificate_problems(model.lp, cert, "farkas")
+        worst = max((abs(r) for _, _, r in problems), default=Fraction(0))
+        return SaCheck(not problems, worst, problems[:max_violations])
+
     d = model.instance.domain_size
     lam = solution.lam
     violations = []
@@ -299,6 +350,14 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
 
     def lam_at(i, sigma):
         return lam.get((i, sigma), Fraction(0))
+
+    value = solution.value.frac
+    problems = [] if cert is None else _certificate_problems(model.lp, cert, "dual", value)
+    for kind, detail, res in problems:
+        note(kind, detail, res)
+    cost = sum((c * lam_at(*model.columns[col]) for col, c in model.lp.objective.items()),
+               Fraction(0))
+    note("objective", "c.lambda", cost - value)
 
     feas_sets = [entry.feasible_set(d) for entry in model.aug]
     for i, entry in enumerate(model.aug):
@@ -328,4 +387,4 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
                         s += lam_at(i, sigma)
                 note("marginal", (i, j, tau), s - lam_at(j, tau))
 
-    return SaCheck(max_res == 0, max_res, violations)
+    return SaCheck(max_res == 0 and not problems, max_res, violations)

@@ -1,16 +1,30 @@
-"""Exact two-phase simplex over rationals.
+"""Exact linear programming over rationals: floats propose, rationals decide.
+
+Programs of `_FLOAT_GUIDE_MIN_ROWS` rows or more first ask HiGHS.  Its
+answer is a proposal only.  The point and duals of an optimum, or the ray
+of a bounded Farkas LP when HiGHS finds the rows infeasible, are rounded
+to rationals on a fixed ladder of denominator bounds and accepted only
+when an exact check passes; the result then carries that certificate and
+took no pivots.  A proposal that fails is repaired by pivoting: an
+optimum crashes an exact basis in HiGHS's column order and prices from
+there, anything else runs the cold two-phase simplex, which is also the
+only path below the size threshold.  Its phase-1 reduced costs give a
+Farkas ray for free, so every infeasible answer carries one.
 
 Rows are kept as sparse {column: coefficient} dicts.  Pivoting uses
 largest-coefficient pricing but switches permanently to Bland's rule after a
 degenerate stall, so termination is guaranteed while typical solves stay
-fast.  No floating point anywhere: coefficients are gmpy2 rationals when
-available (much faster) and fractions.Fraction otherwise; results are
-returned as Fraction either way.
+fast.  Coefficients are gmpy2 rationals when available (much faster) and
+fractions.Fraction otherwise; results are returned as Fraction either way,
+and no float ever reaches a returned number.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
+
+from .errors import InternalError
 
 try:
     from gmpy2 import mpq as _num
@@ -22,6 +36,10 @@ _STALL_LIMIT = 60
 
 # below this many rows the float-guided warm start is not worth its overhead
 _FLOAT_GUIDE_MIN_ROWS = 150
+
+# denominator bounds tried, in order, when rounding a HiGHS proposal; the
+# small ones first, so float noise cannot pass for a large denominator
+_DENOMINATORS = (1, 2, 4, 12, 60, 840, 27720, 720720, 10**6)
 
 _ZERO = _num(0)
 _ONE = _num(1)
@@ -63,14 +81,31 @@ class ExactLP:
         self.add_le(neg, -_num(rhs))
 
 
-class LPResult:
-    __slots__ = ("status", "value", "x", "pivots")
+class Certificate(NamedTuple):
+    """Exact evidence for an LP answer: one multiplier per entry of
+    `ExactLP.rows`, in the row's own orientation, so y_i <= 0 on every
+    `le` row.
 
-    def __init__(self, status, value=None, x=None, pivots=0):
+    'dual': c - A^T y >= 0 on every column and b.y equals the optimum.
+    'farkas': A^T y <= 0 on every column and b.y > 0, so no x >= 0
+    satisfies the rows.
+    """
+
+    kind: str
+    y: list
+
+
+class LPResult:
+    __slots__ = ("status", "value", "x", "pivots", "certificate", "path")
+
+    def __init__(self, status, value=None, x=None, pivots=0,
+                 certificate=None, path="two-phase"):
         self.status = status  # 'optimal' | 'infeasible' | 'unbounded'
         self.value = value
         self.x = x
         self.pivots = pivots
+        self.certificate = certificate  # Certificate or None
+        self.path = path      # 'certified' | 'guided' | 'two-phase'
 
     def __repr__(self):
         return f"LPResult({self.status}, value={self.value})"
@@ -195,14 +230,78 @@ class _Tableau:
         return x
 
 
-def _float_guided_tableau(rows, rhs, objective, total_cols):
-    """Crash an exact starting basis suggested by a float solve.
+def _rounded(values, bound):
+    """Floats rounded to the nearest rationals of denominator <= bound."""
+    memo = {}
+    out = []
+    for v in values:
+        r = memo.get(v)
+        if r is None:
+            r = memo[v] = _num(Fraction(v).limit_denominator(bound))
+        out.append(r)
+    return out
 
-    Returns a primal-feasible _Tableau ready for the final pricing pass,
-    the string "infeasible" when exact elimination proves the equality
-    system inconsistent, or None when the guess cannot be used (caller
-    falls back to the pure two-phase path).  Floats never touch the
-    returned numbers; they only order the basis candidates.
+
+def _transposed_product(rows, y, num_cols):
+    """A^T y, one entry per column."""
+    acc = [_ZERO] * num_cols
+    for row, yi in zip(rows, y):
+        if yi:
+            for c, v in row.items():
+                acc[c] += yi * v
+    return acc
+
+
+def _dot(y, rhs):
+    return sum((yi * b for yi, b in zip(y, rhs) if yi), _ZERO)
+
+
+def _certified_optimum(rows, rhs, cost, num_cols, xs, ys):
+    """The first rounding of HiGHS's point and duals that is exactly an
+    optimal primal-dual pair (Ax = b, x >= 0, c - A^T y >= 0, c.x = b.y),
+    as a certified LPResult; None when no rung of the ladder checks."""
+    for bound in _DENOMINATORS:
+        x = _rounded(xs, bound)
+        if any(v < 0 for v in x):
+            continue
+        if any(sum((v * x[c] for c, v in row.items()), _ZERO) != b
+               for row, b in zip(rows, rhs)):
+            continue
+        y = _rounded(ys, bound)
+        aty = _transposed_product(rows, y, num_cols)
+        if any(cost.get(c, _ZERO) < s for c, s in enumerate(aty)):
+            continue
+        value = sum((v * x[c] for c, v in cost.items()), _ZERO)
+        if value != _dot(y, rhs):
+            continue
+        return LPResult("optimal", value, x, certificate=Certificate("dual", y),
+                        path="certified")
+    return None
+
+
+def _certified_ray(rows, rhs, num_cols, ys):
+    """The first rounding of a float Farkas ray that is exactly one
+    (A^T y <= 0 and b.y > 0), as a certified LPResult; None when no rung
+    of the ladder checks."""
+    for bound in _DENOMINATORS:
+        y = _rounded(ys, bound)
+        if _dot(y, rhs) > 0 and all(s <= 0 for s in _transposed_product(rows, y, num_cols)):
+            return LPResult("infeasible", certificate=Certificate("farkas", y),
+                            path="certified")
+    return None
+
+
+def _float_guided_tableau(rows, rhs, objective, total_cols):
+    """Ask HiGHS, and keep what exact arithmetic confirms of its answer.
+
+    Returns an LPResult whenever HiGHS's answer was used:
+    - certified: an optimum whose rounded point and duals check, or, when
+      HiGHS finds the rows infeasible, a rounded ray of the bounded Farkas
+      LP max b.y s.t. A^T y <= 0, -1 <= y <= 1 that checks;
+    - guided: an optimum whose rounding fails.  HiGHS's column order then
+      crashes an exact primal-feasible basis, and pricing finishes from it.
+    Returns None when the answer is of no use, and the caller runs the
+    two-phase simplex.  Floats never touch the returned numbers.
     """
     try:
         import numpy as np
@@ -224,13 +323,25 @@ def _float_guided_tableau(rows, rhs, objective, total_cols):
         cvec[c] = float(v)
     try:
         res = linprog(cvec, A_eq=mat, b_eq=bvec, bounds=(0, None), method="highs")
+        if res.status == 2:
+            ray = linprog(-bvec, A_ub=mat.T, b_ub=np.zeros(total_cols),
+                          bounds=(-1, 1), method="highs")
     except Exception:
         return None
+    if res.status == 2:
+        return _certified_ray(rows, rhs, total_cols, ray.x.tolist()) if ray.success else None
     if not res.success:
         return None
+    cost = {c: _num(v) for c, v in objective.items()}
+    certified = _certified_optimum(rows, rhs, cost, total_cols, res.x.tolist(),
+                                   res.eqlin.marginals.tolist())
+    if certified is not None:
+        return certified
+
     order = np.argsort(-res.x, kind="stable")
     priority = [int(j) for j in order if res.x[j] > 1e-9]
-    rest = [c for c in range(total_cols) if c not in set(priority)]
+    first = set(priority)
+    rest = [c for c in range(total_cols) if c not in first]
 
     tab = _Tableau([dict(r) for r in rows], list(rhs), [None] * m, total_cols)
     unpivoted = set(range(m))
@@ -249,62 +360,27 @@ def _float_guided_tableau(rows, rhs, objective, total_cols):
         tab.pivot(best[0], c)
         unpivoted.discard(best[0])
     drop = sorted(unpivoted)
-    for i in drop:
-        if tab.rows[i]:
-            return None
-        if tab.rhs[i] != 0:
-            return "infeasible"
+    # a leftover row that is not 0 = 0 means HiGHS was wrong: start over
+    if any(tab.rows[i] or tab.rhs[i] != 0 for i in drop):
+        return None
     for i in reversed(drop):
         del tab.rows[i]
         del tab.rhs[i]
         del tab.basis[i]
     if any(b < 0 for b in tab.rhs):
         return None
-    return tab
+    status, _, _ = tab.solve(cost, set(range(total_cols)))
+    if status == "unbounded":
+        return LPResult("unbounded", pivots=tab.pivots, path="guided")
+    x = tab.solution(total_cols)
+    value = sum((v * x[c] for c, v in cost.items()), _ZERO)
+    return LPResult("optimal", value, x, pivots=tab.pivots, path="guided")
 
 
-def solve_lp(lp: ExactLP) -> LPResult:
-    """Two-phase exact simplex; see module docstring for the pivot rule.
-
-    Large programs first try a warm start: a float solve suggests a basis,
-    which is rebuilt exactly and handed to the pricing loop.  The fallback
-    and the final pass are exact either way.
-    """
-    n = lp.num_vars
-    # standard form: append one slack per <= row
-    num_slacks = sum(1 for _, _, kind in lp.rows if kind == "le")
-    rows = []
-    rhs = []
-    basis = []
-    col = n
-    for coeffs, b, kind in lp.rows:
-        row = dict(coeffs)
-        if kind == "le":
-            row[col] = _ONE
-            col += 1
-        rows.append(row)
-        rhs.append(_num(b))
-    total_cols = n + num_slacks
-    # normalize rhs >= 0
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = {c: -v for c, v in rows[i].items()}
-            rhs[i] = -rhs[i]
-
-    if len(rows) >= _FLOAT_GUIDE_MIN_ROWS:
-        guided = _float_guided_tableau(rows, rhs, lp.objective, total_cols)
-        if guided == "infeasible":
-            return LPResult("infeasible")
-        if guided is not None:
-            cost = {c: _num(v) for c, v in lp.objective.items()}
-            status, z, _ = guided.solve(cost, set(range(total_cols)))
-            if status == "unbounded":
-                return LPResult("unbounded", pivots=guided.pivots)
-            xs = guided.solution(n)
-            value = sum((v * xs[c] for c, v in lp.objective.items()), _ZERO)
-            x = [_to_fraction(v) for v in xs]
-            return LPResult("optimal", _to_fraction(value), x, pivots=guided.pivots)
+def _two_phase(rows, rhs, objective, n, total_cols):
+    """Cold two-phase simplex on the standard-form rows (rhs >= 0)."""
     # initial basis: reuse a slack when its row kept +1 sign, else artificial
+    basis = []
     art_cols = []
     phase1_cost = {}
     for i, row in enumerate(rows):
@@ -322,14 +398,22 @@ def solve_lp(lp: ExactLP) -> LPResult:
             row[a] = _ONE
             basis.append(a)
             phase1_cost[a] = _ONE
+    start = list(basis)
     all_cols = total_cols + len(art_cols)
     tab = _Tableau(rows, rhs, basis, all_cols)
 
     if art_cols:
         allowed = set(range(all_cols))
-        status, z, _ = tab.solve(phase1_cost, allowed)
-        if status != "optimal" or z != 0:
-            return LPResult("infeasible", pivots=tab.pivots)
+        status, z, zrow = tab.solve(phase1_cost, allowed)
+        if status != "optimal":
+            raise InternalError(f"phase 1 is bounded below, yet simplex said {status!r}")
+        if z != 0:
+            # the phase-1 duals y = c_B B^-1 are a Farkas ray: the starting
+            # basis is an identity, so y_i is the cost of row i's starting
+            # column less its reduced cost
+            y = [phase1_cost.get(b, _ZERO) - zrow.get(b, _ZERO) for b in start]
+            return LPResult("infeasible", pivots=tab.pivots,
+                            certificate=Certificate("farkas", y))
         art_set = set(art_cols)
         # drive leftover artificials out of the basis or drop redundant rows
         drop = []
@@ -352,12 +436,51 @@ def solve_lp(lp: ExactLP) -> LPResult:
             for c in art_set:
                 row.pop(c, None)
 
-    allowed = set(range(total_cols))
-    cost = {c: _num(v) for c, v in lp.objective.items()}
-    status, z, _ = tab.solve(cost, allowed)
+    cost = {c: _num(v) for c, v in objective.items()}
+    status, _, _ = tab.solve(cost, set(range(total_cols)))
     if status == "unbounded":
         return LPResult("unbounded", pivots=tab.pivots)
-    xs = tab.solution(n)
-    value = sum((v * xs[c] for c, v in lp.objective.items()), _ZERO)
-    x = [_to_fraction(v) for v in xs]
-    return LPResult("optimal", _to_fraction(value), x, pivots=tab.pivots)
+    x = tab.solution(n)
+    value = sum((v * x[c] for c, v in cost.items()), _ZERO)
+    return LPResult("optimal", value, x, pivots=tab.pivots)
+
+
+def solve_lp(lp: ExactLP) -> LPResult:
+    """Solve `lp` exactly; see the module docstring for the paths.
+
+    Any certificate on the result is written against `lp.rows` as given,
+    before the rhs signs are normalized.
+    """
+    n = lp.num_vars
+    # standard form: append one slack per <= row, then make every rhs >= 0
+    rows = []
+    rhs = []
+    flipped = set()
+    col = n
+    for i, (coeffs, b, kind) in enumerate(lp.rows):
+        row = dict(coeffs)
+        if kind == "le":
+            row[col] = _ONE
+            col += 1
+        b = _num(b)
+        if b < 0:
+            row = {c: -v for c, v in row.items()}
+            b = -b
+            flipped.add(i)
+        rows.append(row)
+        rhs.append(b)
+    total_cols = col
+
+    res = None
+    if len(rows) >= _FLOAT_GUIDE_MIN_ROWS:
+        res = _float_guided_tableau(rows, rhs, lp.objective, total_cols)
+    if res is None:
+        res = _two_phase(rows, rhs, lp.objective, n, total_cols)
+    if res.x is not None:
+        res.x = [_to_fraction(v) for v in res.x[:n]]
+        res.value = _to_fraction(res.value)
+    if res.certificate is not None:
+        y = [_to_fraction(-v if i in flipped else v)
+             for i, v in enumerate(res.certificate.y)]
+        res.certificate = Certificate(res.certificate.kind, y)
+    return res

@@ -125,6 +125,10 @@ def test_relax_sa_report(capsys, demo):
     assert "status = optimal" in out
     assert "gap = NO GAP" in out
     assert any(line.startswith("pivots = ") for line in out)
+    # below the HiGHS threshold the optimum comes from the two-phase
+    # simplex, which carries no dual
+    assert "lp path = two-phase" in out
+    assert "certificate = none" in out
 
 
 def test_relax_sa_dump(capsys, demo):
@@ -197,6 +201,8 @@ def test_relax_parity_pair_levels(capsys, tmp_path):
     assert rc == 0
     assert "lp_opt = inf" in out
     assert "gap = NO GAP" in out
+    assert "lp path = two-phase" in out
+    assert "certificate = farkas" in out
 
 
 def test_analyze_demo_language(capsys, demo):

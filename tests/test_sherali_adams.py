@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 import vcsprelax.sherali_adams as sherali_adams
+import vcsprelax.simplex as simplex
+from vcsprelax.equations import make_group, random_kxor
 from vcsprelax.errors import CapExceeded, InternalError
 from vcsprelax.model import (
     VCSPInstance,
@@ -21,7 +23,7 @@ from vcsprelax.sherali_adams import (
     solve_lp_exact,
     verify_sa,
 )
-from vcsprelax.simplex import LPResult
+from vcsprelax.simplex import Certificate, LPResult
 from vcsprelax.values import INF, ZERO, ExtValue
 
 
@@ -240,15 +242,37 @@ def test_verify_catches_corruption():
     assert not check.ok
     assert check.max_residual >= Fraction(1, 7)
     assert check.violations
+    # an intact lambda with a misreported value
+    sol = solve_lp_exact(model)
+    sol.value = ExtValue(sol.value.frac + 1)
+    assert not verify_sa(model, sol).ok
 
 
-def test_verify_skips_infeasible():
+def test_verify_checks_two_phase_ray():
+    # below the HiGHS threshold the ray comes from the phase-1 reduced
+    # costs; verify_sa checks it and rejects a missing or zero one
     inst = VCSPInstance(2, 2)
     inst.add_constraint(eq2(), (0, 1))
     inst.add_constraint(neq2(), (0, 1))
     model = build_sa(inst, 2)
+    assert model.num_rows < simplex._FLOAT_GUIDE_MIN_ROWS
+    sol = solve_lp_exact(model)
+    assert sol.path == "two-phase" and sol.certificate.kind == "farkas"
+    assert verify_sa(model, sol).ok
+    sol.certificate = Certificate("farkas", [Fraction(0)] * model.num_rows)
+    assert not verify_sa(model, sol).ok
+    sol.certificate = None
+    assert not verify_sa(model, sol).ok
+    # a multiplier on a <= row must be <= 0: +1 on the redundant row
+    # -lambda_0 <= 0 leaves A^T y <= 0 and b.y > 0 intact, and only the
+    # sign condition rejects it
+    model.lp.add_le({0: -1}, 0)
     sol = solve_lp_exact(model)
     assert verify_sa(model, sol).ok
+    y = list(sol.certificate.y)
+    y[-1] = Fraction(1)
+    sol.certificate = Certificate("farkas", y)
+    assert not verify_sa(model, sol).ok
 
 
 def test_solution_blocks_are_distributions():
@@ -273,3 +297,103 @@ def test_unexpected_lp_status_raises(monkeypatch):
     inst = VCSPInstance(2, 2).add_constraint(eq2(), (0, 1))
     with pytest.raises(InternalError, match="unbounded"):
         solve_lp_exact(build_sa(inst, 2))
+
+
+# ------------------------------------------------ certified exact answers
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(simplex, "_certified_optimum", lambda *args: None)
+    monkeypatch.setattr(simplex, "_certified_ray", lambda *args: None)
+
+
+def _flipped(cert, k):
+    y = list(cert.y)
+    y[k] = -y[k]
+    return Certificate(cert.kind, y)
+
+
+def test_infeasible_3xor_certified_by_farkas_ray():
+    # 14 parity equations on 5 variables: level 3 refutes them, and the
+    # rounded HiGHS ray passes the exact check without a pivot
+    model = build_sa(random_kxor(5, 14, make_group("Z2"), seed=1), 3)
+    assert model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS
+    sol = solve_lp_exact(model)
+    assert (sol.status, sol.path, sol.pivots) == ("infeasible", "certified", 0)
+    assert sol.certificate.kind == "farkas"
+    assert verify_sa(model, sol).ok
+    ray = sol.certificate
+    for k in [k for k, v in enumerate(ray.y) if v][:5]:
+        sol.certificate = _flipped(ray, k)
+        assert not verify_sa(model, sol).ok
+
+
+def _submodular_instance(rng, n):
+    # the criterion-4 generator: implications and unit payments
+    inst = VCSPInstance(n, 2)
+    pay = [pin_cost("pay0", 1, 1), pin_cost("pay1", 0, 1)]
+    for _ in range(n + rng.randint(0, 4)):
+        if rng.random() < 0.6:
+            inst.add_constraint(imp_soft(), rng.sample(range(n), 2))
+        else:
+            inst.add_constraint(rng.choice(pay), (rng.randrange(n),))
+    return inst
+
+
+def test_submodular_optimum_certified_by_dual(monkeypatch):
+    inst = _submodular_instance(random.Random(2604), 9)
+    model = build_sa(inst, 3)
+    assert model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS
+    sol = solve_lp_exact(model)
+    assert (sol.status, sol.path, sol.pivots) == ("optimal", "certified", 0)
+    assert sol.certificate.kind == "dual"
+    assert verify_sa(model, sol).ok
+    assert sol.value == brute_force_opt(inst)[0]
+    dual = sol.certificate
+    k = next(k for k, v in enumerate(dual.y) if v)
+    y = list(dual.y)
+    y[k] += 1
+    sol.certificate = Certificate("dual", y)
+    assert not verify_sa(model, sol).ok
+    # y = 0 is dual feasible (all costs are >= 0) but bounds the value
+    # only by 0 < 1, so it proves nothing
+    assert sol.value == ExtValue(Fraction(1))
+    sol.certificate = Certificate("dual", [Fraction(0)] * model.num_rows)
+    assert not verify_sa(model, sol).ok
+    _uncertified(monkeypatch)
+    ref = solve_lp_exact(model)
+    assert ref.path == "guided" and ref.certificate is None
+    assert ref.value == sol.value
+
+
+def _large_models(rng, count):
+    """Random SA models of at least the HiGHS threshold: weighted binary
+    and ternary instances at level 2, and parity pairs at level 3."""
+    out = []
+    while len(out) < count:
+        if len(out) % 3 == 2:
+            n = 5
+            inst = VCSPInstance(n, 2)
+            for _ in range(n + 1):
+                inst.add_constraint(rng.choice([eq2(), neq2()]), rng.sample(range(n), 2))
+            level = 3
+        else:
+            inst = _random_instance(rng, rng.randint(7, 8), 2, rng.randint(6, 12))
+            level = 2
+        model = build_sa(inst, level)
+        if model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS:
+            out.append(model)
+    return out
+
+
+def test_certified_and_pivoted_answers_agree(monkeypatch):
+    models = _large_models(random.Random(11), 10)
+    certified = [solve_lp_exact(m) for m in models]
+    assert {s.status for s in certified} == {"optimal", "infeasible"}
+    for model, sol in zip(models, certified):
+        assert sol.path == "certified" and sol.certificate is not None
+        assert verify_sa(model, sol).ok
+    _uncertified(monkeypatch)
+    for model, sol in zip(models, certified):
+        ref = solve_lp_exact(model)
+        assert ref.path != "certified"
+        assert (ref.status, ref.value) == (sol.status, sol.value)

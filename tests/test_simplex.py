@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import vcsprelax.simplex as simplex
 from vcsprelax.simplex import ExactLP, solve_lp
 
 
@@ -116,3 +117,117 @@ def test_against_scipy_on_random_lps():
             lhs = sum(coeffs.get(j, Fraction(0)) * res.x[j] for j in range(n))
             assert lhs <= rhs
         assert all(x >= 0 for x in res.x)
+
+
+# ---------------------------------------------------------- certificates
+
+def _certificate_holds(lp, res):
+    """The LP certificate conditions, checked exactly against lp.rows as
+    written: y_i <= 0 on <= rows; a Farkas ray has A^T y <= 0 and b.y > 0,
+    a dual has A^T y <= c and b.y == value."""
+    cert = res.certificate
+    if cert is None or len(cert.y) != len(lp.rows):
+        return False
+    aty = [Fraction(0)] * lp.num_vars
+    by = Fraction(0)
+    for (coeffs, b, kind), yi in zip(lp.rows, cert.y):
+        if kind == "le" and yi > 0:
+            return False
+        by += yi * b
+        for c, v in coeffs.items():
+            aty[c] += yi * v
+    if cert.kind == "farkas":
+        return res.status == "infeasible" and by > 0 and all(s <= 0 for s in aty)
+    return (res.status == "optimal" and by == res.value
+            and all(s <= lp.objective.get(c, 0) for c, s in enumerate(aty)))
+
+
+def test_small_infeasible_lps_carry_a_two_phase_ray():
+    # the ray comes from the phase-1 reduced costs; a row solve_lp
+    # sign-flips (negative rhs) gets its multiplier back in its own sign
+    lps = []
+    lp = ExactLP(1)
+    lp.add_le({0: 1}, -1)
+    lps.append(lp)
+    lp = ExactLP(2)
+    lp.add_eq({0: 1, 1: 1}, 1)
+    lp.add_eq({0: 1, 1: 1}, 2)
+    lps.append(lp)
+    lp = ExactLP(3)
+    lp.add_ge({0: 1, 1: 2}, 3)
+    lp.add_le({0: 1, 2: -1}, 1)
+    lp.add_le({1: 1}, 1)
+    lp.add_eq({2: 1, 0: -1}, 0)
+    lp.add_le({0: 1}, Fraction(1, 2))
+    lps.append(lp)
+    for lp in lps:
+        res = solve_lp(lp)
+        assert res.status == "infeasible"
+        assert res.path == "two-phase" and res.certificate.kind == "farkas"
+        assert _certificate_holds(lp, res)
+
+
+def _big_lp(rng, n=12, m=160, infeasible=False):
+    """A bounded LP of at least `_FLOAT_GUIDE_MIN_ROWS` rows mixing <=,
+    >= (sign-flipped) and equality rows; `infeasible` adds a >= row that
+    the cap row contradicts."""
+    lp = ExactLP(n)
+    lp.set_objective({j: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for j in range(n)})
+    lp.add_le({j: 1 for j in range(n)}, n)
+    lp.add_eq({0: 1, 1: -1}, 0)
+    for _ in range(m):
+        coeffs = {j: rng.randint(-3, 4) for j in rng.sample(range(n), 4)}
+        if rng.random() < 0.2:
+            lp.add_ge(coeffs, -rng.randint(1, 6))
+        else:
+            lp.add_le(coeffs, rng.randint(1, 9))
+    if infeasible:
+        lp.add_ge({j: 1 for j in range(n)}, n + 1)
+    return lp
+
+
+def _uncertified(monkeypatch):
+    monkeypatch.setattr(simplex, "_certified_optimum", lambda *args: None)
+    monkeypatch.setattr(simplex, "_certified_ray", lambda *args: None)
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_large_lp_is_certified_without_pivots(monkeypatch, infeasible):
+    lp = _big_lp(random.Random(5), infeasible=infeasible)
+    assert len(lp.rows) >= simplex._FLOAT_GUIDE_MIN_ROWS
+    res = solve_lp(lp)
+    assert res.path == "certified" and res.pivots == 0
+    assert res.status == ("infeasible" if infeasible else "optimal")
+    assert _certificate_holds(lp, res)
+    _uncertified(monkeypatch)
+    ref = solve_lp(lp)
+    assert ref.path == ("two-phase" if infeasible else "guided")
+    assert (ref.status, ref.value) == (res.status, res.value)
+    if not infeasible:
+        assert all(sum(v * res.x[c] for c, v in coeffs.items()) <= b
+                   for coeffs, b, kind in lp.rows if kind == "le")
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+def test_perturbed_highs_answer_falls_back(monkeypatch, infeasible):
+    # HiGHS's x, duals and ray each shifted by 1e-3.  No rung of the
+    # ladder rounds the shift away on this LP (its exact answer has large
+    # denominators), the checks fail, and pivoting repairs the answer.
+    real = scipy.optimize.linprog
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if res.x is not None:
+            res.x = res.x + 1e-3
+        if getattr(res, "eqlin", None) is not None:
+            res.eqlin.marginals = res.eqlin.marginals + 1e-3
+        return res
+
+    lp = _big_lp(random.Random(5), infeasible=infeasible)
+    want = solve_lp(lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", shifted)
+    got = solve_lp(lp)
+    assert got.path == ("two-phase" if infeasible else "guided")
+    assert (got.status, got.value) == (want.status, want.value)
+    if infeasible:
+        assert _certificate_holds(lp, got)
