@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, InternalError
 from .model import VCSPInstance
-from .simplex import ExactLP, solve_lp
+from .simplex import ExactLP, certificate_problems, solve_lp
 from .values import INF, ZERO, ExtValue
 
 COLUMN_CAP = 10**6
@@ -112,7 +112,7 @@ class SaSolution:
         self.lam = lam
         self.pivots = pivots
         self.certificate = certificate  # simplex.Certificate or None
-        self.path = path                # 'certified' | 'guided' | 'two-phase'
+        self.path = path                # 'certified' | 'two-phase'
 
     def __repr__(self):
         return f"SaSolution(status={self.status!r}, value={self.value})"
@@ -283,42 +283,6 @@ class SaCheck:
         return f"SaCheck(ok={self.ok}, max_residual={self.max_residual})"
 
 
-def _certificate_problems(lp, cert, kind, value=None):
-    """Exact check of an LP certificate of `kind` against `lp` as built,
-    with no solver code: (kind, detail, residual) for each failed
-    condition, empty when the certificate holds.
-
-    Both kinds need y_i <= 0 on `le` rows.  A Farkas ray needs
-    A^T y <= 0 on every column and b.y > 0; a dual needs A^T y <= c on
-    every column and b.y == value."""
-    if cert is None or cert.kind != kind:
-        return [(kind, "missing", Fraction(0))]
-    if len(cert.y) != len(lp.rows):
-        return [(kind, "length", Fraction(len(cert.y) - len(lp.rows)))]
-    out = []
-    aty = {}
-    by = Fraction(0)
-    for i, ((coeffs, b, row_kind), yi) in enumerate(zip(lp.rows, cert.y)):
-        if row_kind == "le" and yi > 0:
-            out.append((kind, ("sign", i), yi))
-        if yi:
-            by += yi * b
-            for c, v in coeffs.items():
-                aty[c] = aty.get(c, 0) + yi * v
-    if kind == "farkas":
-        out += [(kind, ("column", c), s) for c, s in sorted(aty.items()) if s > 0]
-        if by <= 0:
-            out.append((kind, "b.y", by))
-    else:
-        for c in range(lp.num_vars):
-            slack = lp.objective.get(c, 0) - aty.get(c, 0)
-            if slack < 0:
-                out.append((kind, ("column", c), slack))
-        if by != value:
-            out.append((kind, "b.y", by - value))
-    return out
-
-
 def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) -> SaCheck:
     """Exact check of a solution, independent of the solver.
 
@@ -331,7 +295,7 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
     value optimal."""
     cert = solution.certificate
     if solution.status != "optimal":
-        problems = _certificate_problems(model.lp, cert, "farkas")
+        problems = list(certificate_problems(model.lp, cert, "farkas"))
         worst = max((abs(r) for _, _, r in problems), default=Fraction(0))
         return SaCheck(not problems, worst, problems[:max_violations])
 
@@ -352,7 +316,7 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
         return lam.get((i, sigma), Fraction(0))
 
     value = solution.value.frac
-    problems = [] if cert is None else _certificate_problems(model.lp, cert, "dual", value)
+    problems = [] if cert is None else list(certificate_problems(model.lp, cert, "dual", value))
     for kind, detail, res in problems:
         note(kind, detail, res)
     cost = sum((c * lam_at(*model.columns[col]) for col, c in model.lp.objective.items()),

@@ -4,10 +4,9 @@ Programs of `_FLOAT_GUIDE_MIN_ROWS` rows or more first ask HiGHS.  Its
 answer is a proposal only.  The point and duals of an optimum, or the ray
 of a bounded Farkas LP when HiGHS finds the rows infeasible, are rounded
 to rationals on a fixed ladder of denominator bounds and accepted only
-when an exact check passes; the result then carries that certificate and
-took no pivots.  A proposal that fails is repaired by pivoting: an
-optimum crashes an exact basis in HiGHS's column order and prices from
-there, anything else runs the cold two-phase simplex, which is also the
+when `certificate_problems` finds nothing wrong with them; the result then
+carries that certificate and took no pivots.  Everything else, a proposal
+that fails included, runs the cold two-phase simplex, which is also the
 only path below the size threshold.  Its phase-1 reduced costs give a
 Farkas ray for free, so every infeasible answer carries one.
 
@@ -34,12 +33,14 @@ except ImportError:  # pragma: no cover
 # degenerate pivots tolerated before switching to Bland
 _STALL_LIMIT = 60
 
-# below this many rows the float-guided warm start is not worth its overhead
+# below this many rows asking HiGHS first is not worth its overhead
 _FLOAT_GUIDE_MIN_ROWS = 150
 
-# denominator bounds tried, in order, when rounding a HiGHS proposal; the
-# small ones first, so float noise cannot pass for a large denominator
-_DENOMINATORS = (1, 2, 4, 12, 60, 840, 27720, 720720, 10**6)
+# denominator bounds tried, in order, when rounding a HiGHS proposal.  A
+# rung that fails costs an exact pass over the rows, so the ladder holds
+# only bounds that some measured LP needed: 1 for integral answers, 12
+# for halves, thirds and quarters, 840 and 27720 for the rest.
+_DENOMINATORS = (1, 12, 840, 27720)
 
 _ZERO = _num(0)
 _ONE = _num(1)
@@ -105,7 +106,7 @@ class LPResult:
         self.x = x
         self.pivots = pivots
         self.certificate = certificate  # Certificate or None
-        self.path = path      # 'certified' | 'guided' | 'two-phase'
+        self.path = path      # 'certified' | 'two-phase'
 
     def __repr__(self):
         return f"LPResult({self.status}, value={self.value})"
@@ -242,66 +243,76 @@ def _rounded(values, bound):
     return out
 
 
-def _transposed_product(rows, y, num_cols):
-    """A^T y, one entry per column."""
-    acc = [_ZERO] * num_cols
-    for row, yi in zip(rows, y):
+def _unflipped(y, flipped):
+    """Multipliers of the standard-form rows, back in the orientation of
+    `ExactLP.rows` (solve_lp negates a row whose rhs is negative)."""
+    return [-v if i in flipped else v for i, v in enumerate(y)]
+
+
+def certificate_problems(lp, cert, kind, value=None, x=None):
+    """Exact check of an LP certificate of `kind` against `lp.rows` as
+    written, with no solver code: yields (kind, detail, residual) for each
+    failed condition, nothing when the certificate holds.
+
+    Both kinds need y_i <= 0 on `le` rows.  A Farkas ray needs A^T y <= 0
+    on every column and b.y > 0; a dual needs A^T y <= c on every column
+    and b.y == value.  A point `x`, when given with a dual, must also be
+    feasible (x >= 0, the rows hold) and attain value == c.x.  The point
+    is checked first and lazily, so a caller that stops at the first
+    problem pays little for a rounding that is plainly wrong."""
+    if cert is None or cert.kind != kind:
+        yield (kind, "missing", _ZERO)
+        return
+    if len(cert.y) != len(lp.rows):
+        yield (kind, "length", _num(len(cert.y) - len(lp.rows)))
+        return
+    if x is not None:
+        for c, v in enumerate(x):
+            if v < 0:
+                yield ("primal", ("nonneg", c), v)
+        for i, (coeffs, b, row_kind) in enumerate(lp.rows):
+            gap = sum((v * x[c] for c, v in coeffs.items()), _ZERO) - b
+            if gap > 0 or (gap and row_kind == "eq"):
+                yield ("primal", ("row", i), gap)
+        gap = sum((v * x[c] for c, v in lp.objective.items()), _ZERO) - value
+        if gap:
+            yield ("primal", "c.x", gap)
+    aty = [_ZERO] * lp.num_vars
+    by = _ZERO
+    for i, ((coeffs, b, row_kind), yi) in enumerate(zip(lp.rows, cert.y)):
+        if row_kind == "le" and yi > 0:
+            yield (kind, ("sign", i), yi)
         if yi:
-            for c, v in row.items():
-                acc[c] += yi * v
-    return acc
+            by += yi * b
+            for c, v in coeffs.items():
+                aty[c] += yi * v
+    if kind == "farkas":
+        for c, s in enumerate(aty):
+            if s > 0:
+                yield (kind, ("column", c), s)
+        if by <= 0:
+            yield (kind, "b.y", by)
+        return
+    for c, s in enumerate(aty):
+        slack = lp.objective.get(c, _ZERO) - s
+        if slack < 0:
+            yield (kind, ("column", c), slack)
+    if by != value:
+        yield (kind, "b.y", by - value)
 
 
-def _dot(y, rhs):
-    return sum((yi * b for yi, b in zip(y, rhs) if yi), _ZERO)
+def _float_guided_tableau(lp, rows, rhs, flipped, total_cols):
+    """Ask HiGHS for an answer and return it as a certified LPResult, or
+    None when no rounding of it checks and the caller must pivot.
 
-
-def _certified_optimum(rows, rhs, cost, num_cols, xs, ys):
-    """The first rounding of HiGHS's point and duals that is exactly an
-    optimal primal-dual pair (Ax = b, x >= 0, c - A^T y >= 0, c.x = b.y),
-    as a certified LPResult; None when no rung of the ladder checks."""
-    for bound in _DENOMINATORS:
-        x = _rounded(xs, bound)
-        if any(v < 0 for v in x):
-            continue
-        if any(sum((v * x[c] for c, v in row.items()), _ZERO) != b
-               for row, b in zip(rows, rhs)):
-            continue
-        y = _rounded(ys, bound)
-        aty = _transposed_product(rows, y, num_cols)
-        if any(cost.get(c, _ZERO) < s for c, s in enumerate(aty)):
-            continue
-        value = sum((v * x[c] for c, v in cost.items()), _ZERO)
-        if value != _dot(y, rhs):
-            continue
-        return LPResult("optimal", value, x, certificate=Certificate("dual", y),
-                        path="certified")
-    return None
-
-
-def _certified_ray(rows, rhs, num_cols, ys):
-    """The first rounding of a float Farkas ray that is exactly one
-    (A^T y <= 0 and b.y > 0), as a certified LPResult; None when no rung
-    of the ladder checks."""
-    for bound in _DENOMINATORS:
-        y = _rounded(ys, bound)
-        if _dot(y, rhs) > 0 and all(s <= 0 for s in _transposed_product(rows, y, num_cols)):
-            return LPResult("infeasible", certificate=Certificate("farkas", y),
-                            path="certified")
-    return None
-
-
-def _float_guided_tableau(rows, rhs, objective, total_cols):
-    """Ask HiGHS, and keep what exact arithmetic confirms of its answer.
-
-    Returns an LPResult whenever HiGHS's answer was used:
-    - certified: an optimum whose rounded point and duals check, or, when
-      HiGHS finds the rows infeasible, a rounded ray of the bounded Farkas
-      LP max b.y s.t. A^T y <= 0, -1 <= y <= 1 that checks;
-    - guided: an optimum whose rounding fails.  HiGHS's column order then
-      crashes an exact primal-feasible basis, and pricing finishes from it.
-    Returns None when the answer is of no use, and the caller runs the
-    two-phase simplex.  Floats never touch the returned numbers.
+    For an optimum, HiGHS's point and duals are rounded together on each
+    rung of `_DENOMINATORS` until they form an exact optimal primal-dual
+    pair.  When HiGHS finds the rows infeasible, a second call solves the
+    bounded Farkas LP max b.y s.t. A^T y <= 0, -1 <= y <= 1 over the
+    standard-form rows, and its rounded y must be an exact ray.  Both are
+    judged by `certificate_problems` against `lp.rows`, so floats never
+    touch a returned number.  (The name predates this role; the
+    benchmark's tracer in bench/spans.py wraps it under that name.)
     """
     try:
         import numpy as np
@@ -319,7 +330,7 @@ def _float_guided_tableau(rows, rhs, objective, total_cols):
     mat = csc_matrix((data, (ri, ci)), shape=(m, total_cols))
     bvec = np.array([float(v) for v in rhs])
     cvec = np.zeros(total_cols)
-    for c, v in objective.items():
+    for c, v in lp.objective.items():
         cvec[c] = float(v)
     try:
         res = linprog(cvec, A_eq=mat, b_eq=bvec, bounds=(0, None), method="highs")
@@ -329,52 +340,24 @@ def _float_guided_tableau(rows, rhs, objective, total_cols):
     except Exception:
         return None
     if res.status == 2:
-        return _certified_ray(rows, rhs, total_cols, ray.x.tolist()) if ray.success else None
+        if not ray.success:
+            return None
+        for bound in _DENOMINATORS:
+            cert = Certificate("farkas", _unflipped(_rounded(ray.x.tolist(), bound), flipped))
+            if next(certificate_problems(lp, cert, "farkas"), None) is None:
+                return LPResult("infeasible", certificate=cert, path="certified")
+        return None
     if not res.success:
         return None
-    cost = {c: _num(v) for c, v in objective.items()}
-    certified = _certified_optimum(rows, rhs, cost, total_cols, res.x.tolist(),
-                                   res.eqlin.marginals.tolist())
-    if certified is not None:
-        return certified
-
-    order = np.argsort(-res.x, kind="stable")
-    priority = [int(j) for j in order if res.x[j] > 1e-9]
-    first = set(priority)
-    rest = [c for c in range(total_cols) if c not in first]
-
-    tab = _Tableau([dict(r) for r in rows], list(rhs), [None] * m, total_cols)
-    unpivoted = set(range(m))
-    for c in priority + rest:
-        if not unpivoted:
-            break
-        best = None
-        for i in unpivoted:
-            v = tab.rows[i].get(c)
-            if v:
-                nn = len(tab.rows[i])
-                if best is None or nn < best[1] or (nn == best[1] and i < best[0]):
-                    best = (i, nn)
-        if best is None:
-            continue
-        tab.pivot(best[0], c)
-        unpivoted.discard(best[0])
-    drop = sorted(unpivoted)
-    # a leftover row that is not 0 = 0 means HiGHS was wrong: start over
-    if any(tab.rows[i] or tab.rhs[i] != 0 for i in drop):
-        return None
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.rhs[i]
-        del tab.basis[i]
-    if any(b < 0 for b in tab.rhs):
-        return None
-    status, _, _ = tab.solve(cost, set(range(total_cols)))
-    if status == "unbounded":
-        return LPResult("unbounded", pivots=tab.pivots, path="guided")
-    x = tab.solution(total_cols)
-    value = sum((v * x[c] for c, v in cost.items()), _ZERO)
-    return LPResult("optimal", value, x, pivots=tab.pivots, path="guided")
+    xs = res.x[:lp.num_vars].tolist()
+    ys = res.eqlin.marginals.tolist()
+    for bound in _DENOMINATORS:
+        x = _rounded(xs, bound)
+        value = sum((v * x[c] for c, v in lp.objective.items()), _ZERO)
+        cert = Certificate("dual", _unflipped(_rounded(ys, bound), flipped))
+        if next(certificate_problems(lp, cert, "dual", value, x), None) is None:
+            return LPResult("optimal", value, x, certificate=cert, path="certified")
+    return None
 
 
 def _two_phase(rows, rhs, objective, n, total_cols):
@@ -473,14 +456,16 @@ def solve_lp(lp: ExactLP) -> LPResult:
 
     res = None
     if len(rows) >= _FLOAT_GUIDE_MIN_ROWS:
-        res = _float_guided_tableau(rows, rhs, lp.objective, total_cols)
+        res = _float_guided_tableau(lp, rows, rhs, flipped, total_cols)
     if res is None:
         res = _two_phase(rows, rhs, lp.objective, n, total_cols)
+        if res.certificate is not None:
+            res.certificate = Certificate(res.certificate.kind,
+                                          _unflipped(res.certificate.y, flipped))
     if res.x is not None:
         res.x = [_to_fraction(v) for v in res.x[:n]]
         res.value = _to_fraction(res.value)
     if res.certificate is not None:
-        y = [_to_fraction(-v if i in flipped else v)
-             for i, v in enumerate(res.certificate.y)]
-        res.certificate = Certificate(res.certificate.kind, y)
+        res.certificate = Certificate(res.certificate.kind,
+                                      [_to_fraction(v) for v in res.certificate.y])
     return res

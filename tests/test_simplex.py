@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 import vcsprelax.simplex as simplex
-from vcsprelax.simplex import ExactLP, solve_lp
+from vcsprelax.simplex import Certificate, ExactLP, solve_lp
 
 
 def test_basic_maximization_via_negation():
@@ -187,32 +187,72 @@ def _big_lp(rng, n=12, m=160, infeasible=False):
 
 
 def _uncertified(monkeypatch):
-    monkeypatch.setattr(simplex, "_certified_optimum", lambda *args: None)
-    monkeypatch.setattr(simplex, "_certified_ray", lambda *args: None)
+    # HiGHS still runs, but no rung of the ladder is tried
+    monkeypatch.setattr(simplex, "_DENOMINATORS", ())
 
 
-@pytest.mark.parametrize("infeasible", [False, True])
-def test_large_lp_is_certified_without_pivots(monkeypatch, infeasible):
-    lp = _big_lp(random.Random(5), infeasible=infeasible)
+def _covering_lp(rng, n=12, m=160):
+    """min c.x with c > 0 over >= rows with positive rhs: solve_lp negates
+    every row, and the optimum's dual is nonzero on the binding ones."""
+    lp = ExactLP(n)
+    lp.set_objective({j: rng.randint(1, 5) for j in range(n)})
+    for _ in range(m):
+        lp.add_ge({j: rng.randint(1, 3) for j in rng.sample(range(n), 4)}, rng.randint(1, 6))
+    return lp
+
+
+@pytest.mark.parametrize("kind", ["optimal", "infeasible", "covering"])
+def test_large_lp_is_certified_without_pivots(monkeypatch, kind):
+    if kind == "covering":
+        lp = _covering_lp(random.Random(7))
+    else:
+        lp = _big_lp(random.Random(5), infeasible=kind == "infeasible")
     assert len(lp.rows) >= simplex._FLOAT_GUIDE_MIN_ROWS
     res = solve_lp(lp)
     assert res.path == "certified" and res.pivots == 0
-    assert res.status == ("infeasible" if infeasible else "optimal")
+    assert res.status == ("infeasible" if kind == "infeasible" else "optimal")
+    assert any(res.certificate.y)
     assert _certificate_holds(lp, res)
     _uncertified(monkeypatch)
     ref = solve_lp(lp)
-    assert ref.path == ("two-phase" if infeasible else "guided")
+    assert ref.path == "two-phase"
     assert (ref.status, ref.value) == (res.status, res.value)
-    if not infeasible:
+    if kind == "optimal":
         assert all(sum(v * res.x[c] for c, v in coeffs.items()) <= b
-                   for coeffs, b, kind in lp.rows if kind == "le")
+                   for coeffs, b, row_kind in lp.rows if row_kind == "le")
+
+
+def test_certificate_problems_checks_the_point():
+    # solve_lp hands the rounded point to the same checker as the dual;
+    # each primal condition must be able to reject on its own
+    lp = _big_lp(random.Random(5))
+    res = solve_lp(lp)
+    cert = res.certificate
+    check = simplex.certificate_problems
+    assert list(check(lp, cert, "dual", res.value, res.x)) == []
+    x = list(res.x)
+    x[0] += 1   # breaks the equality row x0 - x1 = 0
+    assert ("row", 1) in [p[1] for p in check(lp, cert, "dual", res.value, x)]
+    x = list(res.x)
+    x[2] = Fraction(-1)
+    assert ("nonneg", 2) in [p[1] for p in check(lp, cert, "dual", res.value, x)]
+    x = [v + 1 for v in res.x]   # breaks the cap row sum(x) <= n
+    assert ("row", 0) in [p[1] for p in check(lp, cert, "dual", res.value, x)]
+    y = list(cert.y)
+    y[1] += 100   # row 1 has rhs 0: b.y is unchanged, column 0 breaks
+    problems = check(lp, Certificate("dual", y), "dual", res.value, res.x)
+    assert ("column", 0) in [p[1] for p in problems]
+    c = next(c for c, v in lp.objective.items() if v)
+    x = list(res.x)
+    x[c] += Fraction(1, 3)
+    assert "c.x" in [p[1] for p in check(lp, cert, "dual", res.value, x)]
 
 
 @pytest.mark.parametrize("infeasible", [False, True])
 def test_perturbed_highs_answer_falls_back(monkeypatch, infeasible):
     # HiGHS's x, duals and ray each shifted by 1e-3.  No rung of the
     # ladder rounds the shift away on this LP (its exact answer has large
-    # denominators), the checks fail, and pivoting repairs the answer.
+    # denominators), the checks fail, and the two-phase simplex answers.
     real = scipy.optimize.linprog
 
     def shifted(*args, **kwargs):
@@ -227,7 +267,7 @@ def test_perturbed_highs_answer_falls_back(monkeypatch, infeasible):
     want = solve_lp(lp)
     monkeypatch.setattr(scipy.optimize, "linprog", shifted)
     got = solve_lp(lp)
-    assert got.path == ("two-phase" if infeasible else "guided")
+    assert got.path == "two-phase"
     assert (got.status, got.value) == (want.status, want.value)
     if infeasible:
         assert _certificate_holds(lp, got)
