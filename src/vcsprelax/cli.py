@@ -175,6 +175,8 @@ def cmd_relax(args) -> list:
     if isinstance(sol, NumericallyInfeasible):
         lines.append("sdp_opt = inf")
         lines.append("status = infeasible")
+        lines.append(f"stop = {sol.stop}")
+        lines.append(f"certificate bound = {sol.bound!r}")
         lines.append(f"iterations = {sol.iterations}")
         lines.append(f"displacement = {sol.displacement!r}")
         if vcsp is None:
@@ -184,6 +186,7 @@ def cmd_relax(args) -> list:
         return lines
     lines.append(f"sdp_opt = {_fmt_float(sol.objective, args.eps)}")
     lines.append("status = converged")
+    lines.append(f"stop = {sol.stop}")
     lines.append(f"iterations = {sol.iterations}")
     for key in sorted(sol.residuals):
         lines.append(f"residual {key} = {sol.residuals[key]!r}")

@@ -357,10 +357,10 @@ def _probe_instance(instance, group, level, meta, eps, max_iter, row_cap):
     try:
         sol = solve_sdp(model, eps=eps, max_iter=max_iter)
     except NonConvergence as e:
-        diagnostics["note"] = f"budget exhausted: {e}"
-        diagnostics["iterations"] = max_iter
+        diagnostics["note"] = str(e)
         return GapReport(instance, level, INF, None, "inconclusive",
                          diagnostics)
+    diagnostics["stop"] = sol.stop
     if isinstance(sol, NumericallyInfeasible):
         diagnostics["note"] = "relaxation infeasible"
         diagnostics["iterations"] = sol.iterations

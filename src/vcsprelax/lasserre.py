@@ -17,8 +17,28 @@ exactly feasible Gram matrix satisfies; enforcing them directly does
 not change the optimum but makes the returned matrices marginalize to
 machine precision instead of solver tolerance.
 
-Objective values are binary64 floats.  Exactness guarantees live in the
-LP module, not here.
+An infeasible answer carries evidence: an inconsistent tie system, or
+a checked certificate.  The relaxation asks for class values y with
+A y = a, y >= 0 and M(y) PSD.  Every feasible y lies in the box [0, 1]:
+M[0,p] and M[p,p] share a class and M[0,0] = 1, so the 2x2 minor gives
+0 <= M[p,p] <= 1, and every other entry is bounded by its two
+diagonals.  For any symmetric S, vector t and tie multipliers mu, let
+g be the class sums of S plus t and r = g - A^T mu, so that
+<S, M(y)> + t.y = g.y = mu.a + r.y whenever A y = a.  Since
+<S, M(y)> >= lambda_min(S) tr M(y) and tr M(y) <= N, a feasible y gives
+
+    0 <= <S, M(y)> + N max(0, -lambda_min(S))
+       = mu.a + r.y - t.y + N max(0, -lambda_min(S))
+      <= mu.a + sum(max(r, 0)) + sum(max(-t, 0))
+         + N max(0, -lambda_min(S)) = beta,
+
+so beta < 0 proves that no y exists (`certificate_bound`).  The
+splitting scheme's scaled duals supply S and t >= 0 (Banjac, Goulart,
+Stellato and Boyd, "Infeasibility detection in the alternating
+direction method of multipliers", JOTA 2019).
+
+Objective values and certificate bounds are binary64 floats.  Exactness
+guarantees live in the LP module, not here.
 """
 
 from __future__ import annotations
@@ -26,7 +46,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +64,7 @@ DEFAULT_DELTA_INF = 1e-5
 # iteration schedule for the splitting scheme
 _ADAPT_UNTIL = 500
 _ADAPT_EVERY = 50
+_CHECK_EVERY = 50
 _STALL_START = 800
 _STALL_WINDOW = 300
 _STALL_SPREAD = 0.05
@@ -103,12 +123,15 @@ class LasModel:
         m[self.pos_r, self.pos_c] = np.asarray(y)[self.cls]
         return m
 
+    def class_sums(self, M):
+        """Sum of M over each entry class: <M, M(y)> = class_sums(M).y."""
+        return np.bincount(self.cls, weights=M[self.pos_r, self.pos_c],
+                           minlength=self.num_classes)
+
     def class_means(self, M):
         """Average each entry class of M, weighted by class size."""
         nc = np.bincount(self.cls, minlength=self.num_classes)
-        sums = np.bincount(self.cls, weights=M[self.pos_r, self.pos_c],
-                           minlength=self.num_classes)
-        return sums / np.maximum(nc, 1)
+        return self.class_sums(M) / np.maximum(nc, 1)
 
     def value_of(self, M) -> float:
         """Objective value of a Gram matrix: cost-weighted diagonal."""
@@ -155,6 +178,11 @@ class _TieFactorization:
         mu = scipy.linalg.cho_solve(self.chol, gap)
         return v - (self.A_red.T @ mu) / self.weights
 
+    def multipliers(self, g):
+        """Tie multipliers mu making A_red^T mu closest to g in the
+        diag(1/weights) metric (weighted least squares)."""
+        return scipy.linalg.cho_solve(self.chol, self.A_red @ (g / self.weights))
+
 
 def _factor_ties(model: LasModel) -> _TieFactorization:
     A, a = model.A, model.a
@@ -182,6 +210,7 @@ class GramSolution:
     """A converged Gram matrix with objective and diagnostics."""
 
     status = "solved"
+    stop = "converged"
 
     def __init__(self, M, objective, iterations, eps, residuals, model=None):
         self.M = M
@@ -208,24 +237,31 @@ class GramSolution:
 
 
 class NumericallyInfeasible:
-    """Returned when the affine part and the cone stay apart.
+    """Returned when the relaxation has no feasible point, with evidence.
 
-    `displacement` is the stabilized distance between the two
-    projection outputs (infinity when the tie system itself is
-    inconsistent, which is decided before iterating).
+    `stop` says what the evidence is: `tie-system` when the tie system
+    itself is inconsistent (decided before iterating), `certificate`
+    when a candidate (S, t, mu) from the scaled duals passed
+    `certificate_bound`.  `bound` is that candidate's beta divided by
+    its scale, below -delta_inf; it is -inf for the tie system, whose
+    certificate uses tie rows alone (S = 0, scale 0).  `displacement`
+    is the distance between the two projection outputs at the stop
+    (infinity for the tie system).
     """
 
     status = "infeasible"
 
-    def __init__(self, iterations, displacement, note, eps):
+    def __init__(self, iterations, displacement, eps, stop, bound):
         self.iterations = iterations
         self.displacement = displacement
-        self.note = note
         self.eps = eps
+        self.stop = stop
+        self.bound = bound
 
     def __repr__(self):
-        return (f"NumericallyInfeasible(displacement={self.displacement:.3g}, "
-                f"iterations={self.iterations}, note={self.note!r})")
+        return (f"NumericallyInfeasible(stop={self.stop!r}, "
+                f"bound={self.bound:.3g}, iterations={self.iterations}, "
+                f"displacement={self.displacement:.3g})")
 
 
 def build_las(
@@ -439,16 +475,30 @@ def solve_sdp(
 ):
     """Run the splitting scheme on a built model.
 
-    Returns a GramSolution on convergence or NumericallyInfeasible when
-    the affine part and the cone are detected to stay a positive
-    distance apart.  Raises NonConvergence after max_iter undecided
-    iterations.  Deterministic for fixed inputs.
+    Returns a GramSolution on convergence, or NumericallyInfeasible
+    with evidence: an inconsistent tie system, or an infeasibility
+    certificate.  Every 50 iterations the scaled duals give the
+    candidate S = -U, t = -u (U is the NSD part of M(y) + U before the
+    update, u = min(y + u, 0)), mu is the weighted least-squares fit of
+    the class sums, and the run stops once `certificate_bound` gives
+    beta < -delta_inf * scale (see the module docstring for why beta < 0
+    rules out every feasible point).  Raises NonConvergence when the
+    primal residual stalls above delta_inf without a certificate, after
+    max_iter undecided iterations, or when a factorization or
+    eigendecomposition fails.  Deterministic for fixed inputs.
     """
+    try:
+        return _split(model, eps, max_iter, delta_inf, rho)
+    except np.linalg.LinAlgError as e:
+        raise NonConvergence(f"linear algebra failure: {e}") from e
+
+
+def _split(model, eps, max_iter, delta_inf, rho):
     fact = model._solver_data()
     if fact.inconsistent:
         return NumericallyInfeasible(
-            iterations=0, displacement=float("inf"),
-            note="tie system inconsistent", eps=eps)
+            iterations=0, displacement=float("inf"), eps=eps,
+            stop="tie-system", bound=float("-inf"))
 
     nc_w = np.bincount(model.cls, minlength=model.num_classes).astype(float)
     pos_r, pos_c, cls = model.pos_r, model.pos_c, model.cls
@@ -493,6 +543,20 @@ def solve_sdp(
         if r <= eps and s <= eps:
             return _polish(model, fact, Z, it, eps,
                            {"primal": r, "dual": s, "rho": rho})
+        if it % _CHECK_EVERY == 0:
+            S, t = -U, -u
+            mu = fact.multipliers(model.class_sums(S) + t)
+            beta, scale = certificate_bound(model, S, t, mu)
+            if beta < -delta_inf * scale:
+                return NumericallyInfeasible(
+                    iterations=it, displacement=r, eps=eps,
+                    stop="certificate", bound=beta / scale)
+            if it >= _STALL_START and len(hist) == _STALL_WINDOW:
+                lo, hi = min(hist), max(hist)
+                if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
+                    raise NonConvergence(
+                        f"stalled without certificate at iteration {it} "
+                        f"(displacement {lo:.2e}, bound {beta / scale:.2e})")
         if it <= _ADAPT_UNTIL and it % _ADAPT_EVERY == 0:
             if r > 10.0 * s and rho < _RHO_MAX:
                 rho *= 2.0
@@ -502,17 +566,38 @@ def solve_sdp(
                 rho *= 0.5
                 U *= 2.0
                 u *= 2.0
-        if (it >= _STALL_START and it % 50 == 0
-                and len(hist) == _STALL_WINDOW):
-            lo, hi = min(hist), max(hist)
-            if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
-                return NumericallyInfeasible(
-                    iterations=it, displacement=lo,
-                    note="projection displacement stalled", eps=eps)
 
     raise NonConvergence(
-        f"undecided after {max_iter} iterations "
+        f"budget exhausted: undecided after {max_iter} iterations "
         f"(primal {r:.2e}, dual {s:.2e})")
+
+
+def certificate_bound(model: LasModel, S, t, mu):
+    """Judge a candidate infeasibility certificate (S, t, mu).
+
+    S is a symmetric N x N matrix, t one weight per class, mu one
+    multiplier per kept tie row.  Returns (beta, scale) with
+
+        beta  = mu.a + sum(max(r, 0)) + sum(max(-t, 0))
+                + N max(0, -lambda_min(S)),
+        r     = class_sums(S) + t - A^T mu,
+        scale = N max|lambda(S)| + sum|t|.
+
+    Every feasible y gives beta >= 0, whatever the candidate (module
+    docstring), so beta < 0 proves the relaxation infeasible.  scale
+    bounds |<S, M(y)> + t.y| over the box, so beta / scale is the
+    margin of the proof in units of the terms it adds up; the solver
+    asks for beta / scale < -delta_inf, far above the rounding error
+    of these float sums (about N times machine epsilon).
+    """
+    fact = model._solver_data()
+    r = model.class_sums(S) + t - fact.A_red.T @ mu
+    evals = np.linalg.eigvalsh(S)
+    N = model.num_rows
+    beta = (float(mu @ fact.a_red) + float(np.maximum(r, 0.0).sum())
+            + float(np.maximum(-t, 0.0).sum()) + N * max(0.0, -float(evals[0])))
+    scale = N * float(np.abs(evals).max()) + float(np.abs(t).sum())
+    return beta, scale
 
 
 def _polish(model, fact, Z, iterations, eps, solver_stats):
@@ -606,25 +691,3 @@ def verify_L7(solution, model: LasModel, eps: float = 1e-6) -> L7Report:
                     max_res = res
                     worst = (i, j, sigma)
     return L7Report(max_res <= eps, max_res, checks, worst)
-
-
-def suggested_epsilon(language) -> Fraction | None:
-    """Smallest gap between distinct finite costs in a language.
-
-    A solver tolerance below half this gap separates optimal values
-    that the language can distinguish at all.  None when every relation
-    is constant on its feasible tuples.
-    """
-    best = None
-    for rel in language:
-        finite = set()
-        for t in itertools.product(range(rel.domain_size), repeat=rel.arity):
-            val = rel.value(t)
-            if val.is_finite:
-                finite.add(val.frac)
-        vals = sorted(finite)
-        for lo, hi in zip(vals, vals[1:]):
-            gap = hi - lo
-            if best is None or gap < best:
-                best = gap
-    return best

@@ -323,32 +323,45 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
                Fraction(0))
     note("objective", "c.lambda", cost - value)
 
+    # the block conditions in integers: every lambda over one common
+    # denominator, a residual turned back into a Fraction only if nonzero
+    den = math.lcm(*(v.denominator for v in lam.values()))
+    scaled = {key: v.numerator * (den // v.denominator) for key, v in lam.items()}
+
+    def off(kind, detail, res):
+        if res:
+            note(kind, detail, Fraction(res, den))
+
     feas_sets = [entry.feasible_set(d) for entry in model.aug]
     for i, entry in enumerate(model.aug):
-        total = Fraction(0)
+        total = 0
         for sigma in itertools.product(range(d), repeat=len(entry.vars)):
-            val = lam_at(i, sigma)
+            val = scaled.get((i, sigma), 0)
             if val < 0:
-                note("nonneg", (i, sigma), val)
-            if sigma not in feas_sets[i] and val != 0:
-                note("zero", (i, sigma), val)
+                off("nonneg", (i, sigma), val)
+            if val and sigma not in feas_sets[i]:
+                off("zero", (i, sigma), val)
             total += val
-        note("mass", i, total - 1)
+        off("mass", i, total - den)
 
     for i, ei in enumerate(model.aug):
         set_i = set(ei.vars)
         pos = {v: t for t, v in enumerate(ei.vars)}
+        marginals = {}  # block i summed onto each sub-scope, built once
         for j, ej in enumerate(model.aug):
             if i == j or len(ej.vars) > model.level:
                 continue
             if not set(ej.vars) <= set_i:
                 continue
-            idx = [pos[v] for v in ej.vars]
-            for tau in itertools.product(range(d), repeat=len(ej.vars)):
-                s = Fraction(0)
+            marg = marginals.get(ej.vars)
+            if marg is None:
+                idx = [pos[v] for v in ej.vars]
+                marg = marginals[ej.vars] = {}
                 for sigma in feas_sets[i]:
-                    if tuple(sigma[t] for t in idx) == tau:
-                        s += lam_at(i, sigma)
-                note("marginal", (i, j, tau), s - lam_at(j, tau))
+                    tau = tuple(sigma[t] for t in idx)
+                    marg[tau] = marg.get(tau, 0) + scaled.get((i, sigma), 0)
+            for tau in itertools.product(range(d), repeat=len(ej.vars)):
+                off("marginal", (i, j, tau),
+                    marg.get(tau, 0) - scaled.get((j, tau), 0))
 
     return SaCheck(max_res == 0 and not problems, max_res, violations)

@@ -9,7 +9,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from vcsprelax.cli import main
 from vcsprelax.fileformat import parse_instance, parse_language
@@ -203,6 +205,33 @@ def test_relax_parity_pair_levels(capsys, tmp_path):
     assert "gap = NO GAP" in out
     assert "lp path = two-phase" in out
     assert "certificate = farkas" in out
+
+
+def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
+    # x0 = x1, x1 = x2, x0 != x2: the level-2 ties are consistent, the
+    # cone is not, and the scaled duals certify it at the first check
+    lang = _write(tmp_path, "pair.txt", PAIR_LANG)
+    cycle = _write(tmp_path, "cycle.txt", "vars 3\nconstraint peven 0 1\n"
+                   "constraint peven 1 2\nconstraint podd 0 2\n")
+    rc, out, _ = _run(
+        capsys,
+        ["relax", "--language", lang, "--instance", cycle,
+         "--mode", "las", "--level", "2"],
+    )
+    assert rc == 0
+    assert "status = infeasible" in out
+    assert "stop = certificate" in out
+    assert "iterations = 50" in out
+    (bound,) = [l for l in out if l.startswith("certificate bound = ")]
+    assert float(bound.split(" = ")[1]) < -1e-5
+    rc, out, _ = _run(
+        capsys,
+        ["relax", "--language", lang, "--instance", _write(
+            tmp_path, "pinst.txt", PAIR_INST), "--mode", "las", "--level", "2"],
+    )
+    assert rc == 0
+    assert "stop = tie-system" in out
+    assert "certificate bound = -inf" in out
 
 
 def test_analyze_demo_language(capsys, demo):
@@ -513,6 +542,21 @@ def test_exit_code_non_convergence(capsys, demo):
          "--mode", "las", "--max-iter", "3"],
     )
     assert rc == 4
+
+
+def test_exit_code_linear_algebra_failure(capsys, demo, monkeypatch):
+    # a failed factorization is the solver's failure, not bad input
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    rc, out, err = _run(
+        capsys,
+        ["relax", "--language", demo["lang"], "--instance", demo["inst"],
+         "--mode", "las"],
+    )
+    assert rc == 4
+    assert err.startswith("error: linear algebra failure")
 
 
 def test_exit_code_empty_gapsearch_range(capsys):

@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from vcsprelax.errors import CapExceeded, VcspError
 from vcsprelax.model import INF, WeightedRelation, brute_force_opt
@@ -245,13 +247,28 @@ def test_gap_search_kxor_paths():
 
 
 def test_gap_search_inconclusive_on_budget():
-    # the stall detector needs several hundred iterations, so a tiny
-    # budget must exhaust first
+    # the first certificate check comes at iteration 50, so a budget of
+    # 40 must exhaust first
     z2 = make_group("Z2")
     reps = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5,
-                      max_iter=200)
+                      max_iter=40)
     assert reps[0].verdict == "inconclusive"
     assert reps[0].diagnostics["note"].startswith("budget exhausted")
+    full = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5)
+    assert full[0].verdict == "no-gap"
+    assert full[0].diagnostics["stop"] == "certificate"
+    assert full[0].diagnostics["iterations"] == 50
+
+
+def test_gap_search_inconclusive_on_linear_algebra_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+    z2 = make_group("Z2")
+    reps = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5)
+    assert reps[0].verdict == "inconclusive"
+    assert reps[0].diagnostics["note"].startswith("linear algebra failure")
 
 
 def test_gap_search_inconclusive_on_cap():

@@ -7,14 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vcsprelax.errors import ArityError, CapExceeded
+import vcsprelax.lasserre as lasserre
+from vcsprelax.equations import linear_satisfiable, make_group, random_kxor, tseitin
+from vcsprelax.errors import ArityError, CapExceeded, NonConvergence
 from vcsprelax.lasserre import (
+    DEFAULT_DELTA_INF,
     GramSolution,
     NumericallyInfeasible,
     build_las,
+    certificate_bound,
     sdp_opt,
     solve_sdp,
-    suggested_epsilon,
     verify_L7,
 )
 from vcsprelax.model import VCSPInstance, WeightedRelation, brute_force_opt
@@ -101,6 +104,7 @@ def test_contradictory_pair():
     res = solve_sdp(build_las(inst, 2))
     assert isinstance(res, NumericallyInfeasible)
     assert res.iterations == 0  # caught before iterating
+    assert res.stop == "tie-system"
     # at level 1 the tie system alone is satisfiable, but the zero ties
     # between the two blocks still force the unit vector to vanish, so
     # infeasibility is reached through the cone instead
@@ -108,6 +112,8 @@ def test_contradictory_pair():
     assert isinstance(low, NumericallyInfeasible)
     assert low.iterations > 0
     assert low.displacement > 1e-3
+    assert low.stop == "certificate"
+    assert low.bound < -DEFAULT_DELTA_INF
 
 
 def test_level_gate_and_cap():
@@ -131,25 +137,32 @@ def test_dead_constraint_detected_structurally():
     res = solve_sdp(build_las(inst, 2))
     assert isinstance(res, NumericallyInfeasible)
     assert res.iterations == 0
+    assert res.stop == "tie-system"
 
     dead2 = rel("dead2", 2, 2, {})
     inst2 = VCSPInstance(2, 2).add_constraint(dead2, (0, 1))
     res2 = solve_sdp(build_las(inst2, 2))
     assert isinstance(res2, NumericallyInfeasible)
     assert res2.iterations == 0
+    assert res2.stop == "tie-system"
+
+
+def _equality_cycle():
+    inst = VCSPInstance(3, 2)
+    return inst.add_constraint(eq2, (0, 1)).add_constraint(eq2, (1, 2)).add_constraint(neq2, (0, 2))
 
 
 def test_equality_cycle_separates_lp_from_sdp():
     # x=y, y=z, x!=z: pairwise-consistent local distributions exist, so
     # the level-2 LP value is 0, but any Gram realization forces the
-    # vectors of x and z together and the displacement detector fires
-    inst = VCSPInstance(3, 2)
-    inst.add_constraint(eq2, (0, 1)).add_constraint(eq2, (1, 2)).add_constraint(neq2, (0, 2))
+    # vectors of x and z together and the scaled duals certify it
+    inst = _equality_cycle()
     assert lp_opt(inst, 2) == ZERO
     assert not brute_force_opt(inst)[0].is_finite
     res = solve_sdp(build_las(inst, 2))
     assert isinstance(res, NumericallyInfeasible)
     assert res.displacement > 1e-3
+    assert res.stop == "certificate"
 
 
 def test_soft_triangle_value():
@@ -210,7 +223,85 @@ def test_solver_is_deterministic():
     assert a.iterations == b.iterations
 
 
-def test_suggested_epsilon():
-    # distinct finite values 1/3, 1, 2, 5: smallest gap 2/3
-    assert suggested_epsilon([mixed_costs, same_soft]) == Fraction(2, 3)
-    assert suggested_epsilon([eq2, neq2]) is None
+def _k4_tseitin():
+    z2 = make_group("Z2")
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    return tseitin(edges, [1, 0, 0, 0], z2, r=3)
+
+
+def test_refutation_probes_stop_at_first_check():
+    # the Tseitin K4 system and an unsatisfiable 3-XOR with nine distinct
+    # variable sets, both at level 3: the first check certifies them
+    z2 = make_group("Z2")
+    probes = [(_k4_tseitin(), 217), (random_kxor(6, 9, z2, seed=2480531333), 197)]
+    for inst, dim in probes:
+        assert not linear_satisfiable(inst, z2)
+        model = build_las(inst, 3)
+        assert model.num_rows == dim
+        res = solve_sdp(model)
+        assert isinstance(res, NumericallyInfeasible)
+        assert res.stop == "certificate"
+        assert res.iterations == 50
+        assert res.bound < -DEFAULT_DELTA_INF
+
+
+def test_certificate_negative_controls(monkeypatch):
+    seen = []  # (S, t, mu, beta, scale) of every check the solver makes
+
+    def record(model, S, t, mu):
+        beta, scale = certificate_bound(model, S, t, mu)
+        seen.append((S.copy(), t.copy(), mu.copy(), beta, scale))
+        return beta, scale
+
+    monkeypatch.setattr(lasserre, "certificate_bound", record)
+    # every candidate of a feasible run, up to its convergence, leaves
+    # beta nonnegative: valued instances at levels 2 and 3, and a
+    # satisfiable 3-XOR at level 3, whose beta / scale comes within 1e-7
+    # of zero
+    z2 = make_group("Z2")
+    rng = random.Random(11)
+    feasible = [(random_kxor(6, 6, z2, seed=1), 3)]
+    for _ in range(12):
+        inst = _random_instance(rng, 3, 2, rng.randint(2, 4))
+        if brute_force_opt(inst)[0].is_finite:
+            feasible.extend((inst, k) for k in (2, 3))
+    checked = 0
+    for inst, k in feasible:
+        seen.clear()
+        sol = solve_sdp(build_las(inst, k, allow_low_level=True))
+        assert isinstance(sol, GramSolution)
+        for _, _, _, beta, scale in seen:
+            assert beta >= 0.0
+        checked += len(seen)
+    assert len(feasible) >= 9 and checked >= 10
+
+    seen.clear()
+    model = build_las(_equality_cycle(), 2)
+    res = solve_sdp(model)
+    assert res.stop == "certificate"
+    S, t, mu, beta, scale = seen[-1]
+    assert beta < -DEFAULT_DELTA_INF * scale
+    fact = model._solver_data()
+
+    def rejected(S, t, mu):
+        beta, scale = certificate_bound(model, S, t, mu)
+        return beta >= -DEFAULT_DELTA_INF * scale
+
+    # S shifted off the PSD cone pays N * |lambda_min| and fails
+    c = 10 * np.abs(np.linalg.eigvalsh(S)).max()
+    shifted = S - c * np.eye(model.num_rows)
+    assert rejected(shifted, t, mu)
+    assert rejected(shifted, t, fact.multipliers(model.class_sums(shifted) + t))
+    # so does the reversed direction, and the certificate's mu negated
+    assert rejected(-S, -t, fact.multipliers(model.class_sums(-S) - t))
+    assert rejected(-S, -t, -mu)
+    assert rejected(S, t, -mu)
+
+
+def test_stall_without_certificate_is_inconclusive(monkeypatch):
+    # with every candidate refused, the infeasible equality cycle stalls;
+    # the solver then gives up instead of answering infeasible
+    monkeypatch.setattr(lasserre, "certificate_bound",
+                        lambda model, S, t, mu: (0.0, 1.0))
+    with pytest.raises(NonConvergence, match="stalled without certificate"):
+        solve_sdp(build_las(_equality_cycle(), 2))

@@ -3,6 +3,7 @@
 Frozen values are derived in the comments next to each assertion.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -246,6 +247,68 @@ def test_verify_catches_corruption():
     sol = solve_lp_exact(model)
     sol.value = ExtValue(sol.value.frac + 1)
     assert not verify_sa(model, sol).ok
+
+
+def _block_violations(model, lam):
+    """The block conditions of verify_sa as a plain Fraction loop, in
+    verify_sa's order: nonneg and zero per assignment, then mass, per
+    block; then every nested pair's marginals."""
+    d = model.instance.domain_size
+    at = lambda i, sigma: lam.get((i, sigma), Fraction(0))  # noqa: E731
+    feas = [e.feasible_set(d) for e in model.aug]
+    out = []
+    for i, e in enumerate(model.aug):
+        total = Fraction(0)
+        for sigma in itertools.product(range(d), repeat=len(e.vars)):
+            val = at(i, sigma)
+            if val < 0:
+                out.append(("nonneg", (i, sigma), -val))
+            if sigma not in feas[i] and val != 0:
+                out.append(("zero", (i, sigma), abs(val)))
+            total += val
+        if total != 1:
+            out.append(("mass", i, abs(total - 1)))
+    for i, ei in enumerate(model.aug):
+        for j, ej in enumerate(model.aug):
+            if i == j or len(ej.vars) > model.level or not set(ej.vars) <= set(ei.vars):
+                continue
+            idx = [ei.vars.index(v) for v in ej.vars]
+            for tau in itertools.product(range(d), repeat=len(ej.vars)):
+                s = sum((at(i, sigma) for sigma in feas[i]
+                         if tuple(sigma[t] for t in idx) == tau), Fraction(0))
+                if s != at(j, tau):
+                    out.append(("marginal", (i, j, tau), abs(s - at(j, tau))))
+    return out
+
+
+def test_verify_block_checks_match_reference_loop():
+    rng = random.Random(23)
+    blocks = ("nonneg", "zero", "mass", "marginal")
+    compared = 0
+    while compared < 30:
+        inst = _random_instance(rng, rng.randint(2, 4), rng.choice([2, 3]), rng.randint(1, 4))
+        model = build_sa(inst, 2)
+        sol = solve_lp_exact(model)
+        if sol.status != "optimal":
+            continue
+        keys = list(sol.lam)
+        for _ in range(rng.randint(0, 3)):
+            move = rng.randrange(3)
+            if move == 0:
+                sol.lam[rng.choice(keys)] += Fraction(rng.randint(-3, 3), rng.choice([1, 7, 11]))
+            elif move == 1:
+                sol.lam.pop(rng.choice(keys), None)
+            else:
+                i = rng.randrange(len(model.aug))
+                sigma = tuple(rng.randrange(inst.domain_size) for _ in model.aug[i].vars)
+                sol.lam[(i, sigma)] = Fraction(rng.randint(1, 5), 13)
+        check = verify_sa(model, sol, max_violations=10 ** 6)
+        want = _block_violations(model, sol.lam)
+        assert [v for v in check.violations if v[0] in blocks] == want
+        assert check.max_residual >= max((r for _, _, r in want), default=0)
+        if want:
+            assert not check.ok
+        compared += 1
 
 
 def test_verify_checks_two_phase_ray():
