@@ -177,6 +177,7 @@ def cmd_relax(args) -> list:
         lines.append("status = infeasible")
         lines.append(f"stop = {sol.stop}")
         lines.append(f"certificate bound = {sol.bound!r}")
+        lines.append(f"certificate checks = {sol.checks}")
         lines.append(f"iterations = {sol.iterations}")
         lines.append(f"displacement = {sol.displacement!r}")
         if vcsp is None:
@@ -187,6 +188,7 @@ def cmd_relax(args) -> list:
     lines.append(f"sdp_opt = {_fmt_float(sol.objective, args.eps)}")
     lines.append("status = converged")
     lines.append(f"stop = {sol.stop}")
+    lines.append(f"certificate checks = {sol.checks}")
     lines.append(f"iterations = {sol.iterations}")
     for key in sorted(sol.residuals):
         lines.append(f"residual {key} = {sol.residuals[key]!r}")

@@ -361,6 +361,7 @@ def _probe_instance(instance, group, level, meta, eps, max_iter, row_cap):
         return GapReport(instance, level, INF, None, "inconclusive",
                          diagnostics)
     diagnostics["stop"] = sol.stop
+    diagnostics["checks"] = sol.checks
     if isinstance(sol, NumericallyInfeasible):
         diagnostics["note"] = "relaxation infeasible"
         diagnostics["iterations"] = sol.iterations
@@ -397,7 +398,11 @@ def gap_search(group: AbelianGroup, level: int, n_values,
     random nonzero charge at vertex 0.  The kxor family draws
     round(density * n) random equations.  Instance seeds derive from
     the top-level seed, are recorded in each report, and make every
-    probe reproducible on its own.
+    probe reproducible on its own.  A seed that draws an instance
+    already probed in this call (same variable count, scopes and
+    relation tables) is not solved again: its report copies the first
+    one's verdict, values and diagnostics, keeps its own seed and adds
+    `repeat_of`, the first seed.
     """
     if family not in ("tseitin", "kxor"):
         raise ValueError(f"unknown family {family!r}")
@@ -406,6 +411,7 @@ def gap_search(group: AbelianGroup, level: int, n_values,
             f"level {level} is below the language arity {arity}")
     rng = random.Random(seed)
     reports = []
+    probed = {}
     for n in n_values:
         for _ in range(count):
             child = rng.randrange(2 ** 32)
@@ -426,6 +432,22 @@ def gap_search(group: AbelianGroup, level: int, n_values,
                 m = max(1, round(density * n))
                 instance = random_kxor(n, m, group, arity=arity, seed=child)
                 meta = {"family": "kxor", "n": n, "m": m, "seed": child}
-            reports.append(_probe_instance(
-                instance, group, level, meta, eps, max_iter, row_cap))
+            key = _instance_key(instance)
+            first = probed.get(key)
+            if first is None:
+                report = _probe_instance(
+                    instance, group, level, meta, eps, max_iter, row_cap)
+                probed[key] = report
+            else:
+                diagnostics = dict(first.diagnostics, seed=child,
+                                   repeat_of=first.diagnostics["seed"])
+                report = GapReport(instance, level, first.vcsp_opt,
+                                   first.sdp_value, first.verdict, diagnostics)
+            reports.append(report)
     return reports
+
+
+def _instance_key(instance):
+    """Everything a probe reads of an instance, as a hashable value."""
+    return (instance.num_vars,
+            tuple((c.scope, c.relation.table) for c in instance.constraints))

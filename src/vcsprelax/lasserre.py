@@ -35,7 +35,9 @@ g be the class sums of S plus t and r = g - A^T mu, so that
 so beta < 0 proves that no y exists (`certificate_bound`).  The
 splitting scheme's scaled duals supply S and t >= 0 (Banjac, Goulart,
 Stellato and Boyd, "Infeasibility detection in the alternating
-direction method of multipliers", JOTA 2019).
+direction method of multipliers", JOTA 2019).  They are checked at
+iterations 4, 8, 16 and 32, then every 50 iterations; a check only
+reads the iterates, so it never changes a converging run.
 
 Objective values and certificate bounds are binary64 floats.  Exactness
 guarantees live in the LP module, not here.
@@ -65,6 +67,7 @@ DEFAULT_DELTA_INF = 1e-5
 _ADAPT_UNTIL = 500
 _ADAPT_EVERY = 50
 _CHECK_EVERY = 50
+_EARLY_CHECKS = (4, 8, 16, 32)  # all below _STALL_START
 _STALL_START = 800
 _STALL_WINDOW = 300
 _STALL_SPREAD = 0.05
@@ -207,17 +210,23 @@ def _factor_ties(model: LasModel) -> _TieFactorization:
 
 
 class GramSolution:
-    """A converged Gram matrix with objective and diagnostics."""
+    """A converged Gram matrix with objective and diagnostics.
+
+    `checks` counts the certificate checks the solver ran before it
+    converged (none of them certified).
+    """
 
     status = "solved"
     stop = "converged"
 
-    def __init__(self, M, objective, iterations, eps, residuals, model=None):
+    def __init__(self, M, objective, iterations, eps, residuals, checks=0,
+                 model=None):
         self.M = M
         self.objective = objective
         self.iterations = iterations
         self.eps = eps
         self.residuals = residuals
+        self.checks = checks
         self.model = model
 
     def within_tolerance(self, residuals=None) -> bool:
@@ -246,17 +255,19 @@ class NumericallyInfeasible:
     its scale, below -delta_inf; it is -inf for the tie system, whose
     certificate uses tie rows alone (S = 0, scale 0).  `displacement`
     is the distance between the two projection outputs at the stop
-    (infinity for the tie system).
+    (infinity for the tie system).  `checks` counts the certificate
+    checks run, the certifying one included (0 for the tie system).
     """
 
     status = "infeasible"
 
-    def __init__(self, iterations, displacement, eps, stop, bound):
+    def __init__(self, iterations, displacement, eps, stop, bound, checks):
         self.iterations = iterations
         self.displacement = displacement
         self.eps = eps
         self.stop = stop
         self.bound = bound
+        self.checks = checks
 
     def __repr__(self):
         return (f"NumericallyInfeasible(stop={self.stop!r}, "
@@ -477,15 +488,17 @@ def solve_sdp(
 
     Returns a GramSolution on convergence, or NumericallyInfeasible
     with evidence: an inconsistent tie system, or an infeasibility
-    certificate.  Every 50 iterations the scaled duals give the
-    candidate S = -U, t = -u (U is the NSD part of M(y) + U before the
-    update, u = min(y + u, 0)), mu is the weighted least-squares fit of
-    the class sums, and the run stops once `certificate_bound` gives
-    beta < -delta_inf * scale (see the module docstring for why beta < 0
-    rules out every feasible point).  Raises NonConvergence when the
-    primal residual stalls above delta_inf without a certificate, after
-    max_iter undecided iterations, or when a factorization or
-    eigendecomposition fails.  Deterministic for fixed inputs.
+    certificate.  At iterations 4, 8, 16 and 32, then every 50, the
+    scaled duals give the candidate S = -U, t = -u (U is the NSD part of
+    M(y) + U before the update, u = min(y + u, 0)), mu is the weighted
+    least-squares fit of the class sums, and the run stops once
+    `certificate_bound` gives beta < -delta_inf * scale (see the module
+    docstring for why beta < 0 rules out every feasible point).  Both
+    results count the checks run in `checks`.  Raises NonConvergence
+    when the primal residual, looked at every 50 iterations, stalls
+    above delta_inf without a certificate, after max_iter undecided
+    iterations, or when a factorization or eigendecomposition fails.
+    Deterministic for fixed inputs.
     """
     try:
         return _split(model, eps, max_iter, delta_inf, rho)
@@ -498,7 +511,7 @@ def _split(model, eps, max_iter, delta_inf, rho):
     if fact.inconsistent:
         return NumericallyInfeasible(
             iterations=0, displacement=float("inf"), eps=eps,
-            stop="tie-system", bound=float("-inf"))
+            stop="tie-system", bound=float("-inf"), checks=0)
 
     nc_w = np.bincount(model.cls, minlength=model.num_classes).astype(float)
     pos_r, pos_c, cls = model.pos_r, model.pos_c, model.cls
@@ -513,6 +526,7 @@ def _split(model, eps, max_iter, delta_inf, rho):
     U = np.zeros((N, N))
     hist = deque(maxlen=_STALL_WINDOW)
     r = s = float("inf")
+    checks = 0
 
     for it in range(1, max_iter + 1):
         g1 = np.bincount(cls, weights=(Z - U)[pos_r, pos_c],
@@ -541,16 +555,17 @@ def _split(model, eps, max_iter, delta_inf, rho):
         hist.append(r)
 
         if r <= eps and s <= eps:
-            return _polish(model, fact, Z, it, eps,
+            return _polish(model, fact, Z, it, eps, checks,
                            {"primal": r, "dual": s, "rho": rho})
-        if it % _CHECK_EVERY == 0:
+        if it % _CHECK_EVERY == 0 or it in _EARLY_CHECKS:
             S, t = -U, -u
             mu = fact.multipliers(model.class_sums(S) + t)
             beta, scale = certificate_bound(model, S, t, mu)
+            checks += 1
             if beta < -delta_inf * scale:
                 return NumericallyInfeasible(
                     iterations=it, displacement=r, eps=eps,
-                    stop="certificate", bound=beta / scale)
+                    stop="certificate", bound=beta / scale, checks=checks)
             if it >= _STALL_START and len(hist) == _STALL_WINDOW:
                 lo, hi = min(hist), max(hist)
                 if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
@@ -600,7 +615,7 @@ def certificate_bound(model: LasModel, S, t, mu):
     return beta, scale
 
 
-def _polish(model, fact, Z, iterations, eps, solver_stats):
+def _polish(model, fact, Z, iterations, eps, checks, solver_stats):
     # one exact affine projection of the converged iterate; ties and
     # marginalization then hold to rounding error, the cone to solver
     # tolerance
@@ -610,7 +625,8 @@ def _polish(model, fact, Z, iterations, eps, solver_stats):
     residuals = dict(solver_stats)
     residuals.update(model.residual_report(M))
     residuals["polish_gap"] = float(np.abs(M - Z).max())
-    return GramSolution(M, model.value_of(M), iterations, eps, residuals, model=model)
+    return GramSolution(M, model.value_of(M), iterations, eps, residuals,
+                        checks, model=model)
 
 
 def sdp_opt(

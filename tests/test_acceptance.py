@@ -543,9 +543,9 @@ def test_criterion_10_gap_search_contract():
     reports += gap_search(group, 3, [6], family="tseitin", count=3, seed=4)
     reports += gap_search(group, 3, [6], family="kxor", count=2, seed=4,
                           density=4.0)
-    # the first certificate check is at iteration 50: 40 exhausts first
+    # the first certificate check is at iteration 4: 3 exhausts first
     budget = gap_search(group, 3, [6], family="tseitin", count=1, seed=4,
-                        max_iter=40)
+                        max_iter=3)
     reports += budget
     violations = []
     for i, rep in enumerate(reports):

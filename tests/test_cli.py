@@ -209,7 +209,8 @@ def test_relax_parity_pair_levels(capsys, tmp_path):
 
 def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
     # x0 = x1, x1 = x2, x0 != x2: the level-2 ties are consistent, the
-    # cone is not, and the scaled duals certify it at the first check
+    # cone is not, and the scaled duals certify it at the first check,
+    # iteration 4
     lang = _write(tmp_path, "pair.txt", PAIR_LANG)
     cycle = _write(tmp_path, "cycle.txt", "vars 3\nconstraint peven 0 1\n"
                    "constraint peven 1 2\nconstraint podd 0 2\n")
@@ -221,7 +222,8 @@ def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
     assert rc == 0
     assert "status = infeasible" in out
     assert "stop = certificate" in out
-    assert "iterations = 50" in out
+    assert "iterations = 4" in out
+    assert "certificate checks = 1" in out
     (bound,) = [l for l in out if l.startswith("certificate bound = ")]
     assert float(bound.split(" = ")[1]) < -1e-5
     rc, out, _ = _run(
@@ -232,6 +234,7 @@ def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
     assert rc == 0
     assert "stop = tie-system" in out
     assert "certificate bound = -inf" in out
+    assert "certificate checks = 0" in out
 
 
 def test_analyze_demo_language(capsys, demo):

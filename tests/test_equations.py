@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import vcsprelax.equations as equations
 from vcsprelax.errors import CapExceeded, VcspError
 from vcsprelax.model import INF, WeightedRelation, brute_force_opt
 from vcsprelax.equations import (
@@ -247,17 +248,68 @@ def test_gap_search_kxor_paths():
 
 
 def test_gap_search_inconclusive_on_budget():
-    # the first certificate check comes at iteration 50, so a budget of
-    # 40 must exhaust first
+    # the first certificate check comes at iteration 4, so a budget of
+    # 3 must exhaust first
     z2 = make_group("Z2")
     reps = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5,
-                      max_iter=40)
+                      max_iter=3)
     assert reps[0].verdict == "inconclusive"
     assert reps[0].diagnostics["note"].startswith("budget exhausted")
     full = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5)
     assert full[0].verdict == "no-gap"
     assert full[0].diagnostics["stop"] == "certificate"
-    assert full[0].diagnostics["iterations"] == 50
+    assert full[0].diagnostics["iterations"] == 8
+    assert full[0].diagnostics["checks"] == 2
+
+
+def _content(instance):
+    return (instance.num_vars,
+            [(c.scope, c.relation.table) for c in instance.constraints])
+
+
+def test_gap_search_probes_a_repeated_instance_once(monkeypatch):
+    probed = []
+    probe = equations._probe_instance
+
+    def counted(instance, *args):
+        probed.append(instance)
+        return probe(instance, *args)
+
+    monkeypatch.setattr(equations, "_probe_instance", counted)
+    # every 3-regular graph on four vertices is K4 and Z2 has one nonzero
+    # charge, so the three Tseitin seeds draw one instance
+    z2 = make_group("Z2")
+    reps = gap_search(z2, 3, [6], family="tseitin", count=3, seed=4)
+    assert len(probed) == 1
+    first = reps[0]
+    assert "repeat_of" not in first.diagnostics
+    assert len({r.diagnostics["seed"] for r in reps}) == 3
+    for r in reps[1:]:
+        assert _content(r.instance) == _content(first.instance)
+        assert r.diagnostics.pop("repeat_of") == first.diagnostics["seed"]
+        assert r.diagnostics.pop("seed") != first.diagnostics["seed"]
+        assert r.diagnostics == {k: v for k, v in first.diagnostics.items()
+                                 if k != "seed"}
+        assert (r.verdict, r.vcsp_opt, r.sdp_value) == (
+            first.verdict, first.vcsp_opt, first.sdp_value)
+    # over Z3 the charge at vertex 0 is 1 or 2: seeds that draw
+    # different charges are each probed, the rest repeat one of them
+    probed.clear()
+    reps = gap_search(make_group("Z3"), 3, [6], family="tseitin", count=4,
+                      seed=1)
+    fresh = [r for r in reps if "repeat_of" not in r.diagnostics]
+    assert len(probed) == len(fresh) == 2
+    assert _content(fresh[0].instance) != _content(fresh[1].instance)
+    for r in reps:
+        if r not in fresh:
+            (twin,) = [f for f in fresh if f.diagnostics["seed"]
+                       == r.diagnostics["repeat_of"]]
+            assert _content(r.instance) == _content(twin.instance)
+    # repeats are found within one call only
+    probed.clear()
+    gap_search(z2, 3, [6], family="tseitin", count=1, seed=4)
+    gap_search(z2, 3, [6], family="tseitin", count=1, seed=4)
+    assert len(probed) == 2
 
 
 def test_gap_search_inconclusive_on_linear_algebra_failure(monkeypatch):

@@ -231,7 +231,8 @@ def _k4_tseitin():
 
 def test_refutation_probes_stop_at_first_check():
     # the Tseitin K4 system and an unsatisfiable 3-XOR with nine distinct
-    # variable sets, both at level 3: the first check certifies them
+    # variable sets, both at level 3: the check at iteration 8, the
+    # schedule's second, certifies them
     z2 = make_group("Z2")
     probes = [(_k4_tseitin(), 217), (random_kxor(6, 9, z2, seed=2480531333), 197)]
     for inst, dim in probes:
@@ -241,23 +242,14 @@ def test_refutation_probes_stop_at_first_check():
         res = solve_sdp(model)
         assert isinstance(res, NumericallyInfeasible)
         assert res.stop == "certificate"
-        assert res.iterations == 50
+        assert res.iterations == 8
+        assert res.checks == 2
         assert res.bound < -DEFAULT_DELTA_INF
 
 
-def test_certificate_negative_controls(monkeypatch):
-    seen = []  # (S, t, mu, beta, scale) of every check the solver makes
-
-    def record(model, S, t, mu):
-        beta, scale = certificate_bound(model, S, t, mu)
-        seen.append((S.copy(), t.copy(), mu.copy(), beta, scale))
-        return beta, scale
-
-    monkeypatch.setattr(lasserre, "certificate_bound", record)
-    # every candidate of a feasible run, up to its convergence, leaves
-    # beta nonnegative: valued instances at levels 2 and 3, and a
-    # satisfiable 3-XOR at level 3, whose beta / scale comes within 1e-7
-    # of zero
+def _feasible_runs():
+    # valued instances at levels 2 and 3, and a satisfiable 3-XOR at
+    # level 3, all with a finite optimum
     z2 = make_group("Z2")
     rng = random.Random(11)
     feasible = [(random_kxor(6, 6, z2, seed=1), 3)]
@@ -265,21 +257,53 @@ def test_certificate_negative_controls(monkeypatch):
         inst = _random_instance(rng, 3, 2, rng.randint(2, 4))
         if brute_force_opt(inst)[0].is_finite:
             feasible.extend((inst, k) for k in (2, 3))
-    checked = 0
+    return feasible
+
+
+def test_certificate_negative_controls(monkeypatch):
+    seen = []  # (iteration, S, t, mu, beta, scale) of every check made
+    iteration = 0
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        # the splitting scheme runs one eigh per iteration
+        nonlocal iteration
+        iteration += 1
+        return eigh(a, *args, **kwargs)
+
+    def record(model, S, t, mu):
+        beta, scale = certificate_bound(model, S, t, mu)
+        seen.append((iteration, S.copy(), t.copy(), mu.copy(), beta, scale))
+        return beta, scale
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(lasserre, "certificate_bound", record)
+    # every candidate of a feasible run, up to its convergence, leaves
+    # beta nonnegative, the early ones of the schedule included; the
+    # satisfiable 3-XOR's beta / scale comes within 1e-7 of zero
+    feasible = _feasible_runs()
+    checked_at = set()
     for inst, k in feasible:
         seen.clear()
+        iteration = 0
         sol = solve_sdp(build_las(inst, k, allow_low_level=True))
         assert isinstance(sol, GramSolution)
-        for _, _, _, beta, scale in seen:
+        assert iteration == sol.iterations
+        assert sol.checks == len(seen)
+        assert [it for it, *_ in seen] == [
+            it for it in range(1, sol.iterations)
+            if it in (4, 8, 16, 32) or it % 50 == 0]
+        for _, _, _, _, beta, scale in seen:
             assert beta >= 0.0
-        checked += len(seen)
-    assert len(feasible) >= 9 and checked >= 10
+        checked_at.update(it for it, *_ in seen)
+    assert len(feasible) >= 9
+    assert {4, 8, 16, 32, 50} <= checked_at
 
     seen.clear()
     model = build_las(_equality_cycle(), 2)
     res = solve_sdp(model)
     assert res.stop == "certificate"
-    S, t, mu, beta, scale = seen[-1]
+    _, S, t, mu, beta, scale = seen[-1]
     assert beta < -DEFAULT_DELTA_INF * scale
     fact = model._solver_data()
 
@@ -296,6 +320,30 @@ def test_certificate_negative_controls(monkeypatch):
     assert rejected(-S, -t, fact.multipliers(model.class_sums(-S) - t))
     assert rejected(-S, -t, -mu)
     assert rejected(S, t, -mu)
+
+
+def test_certificate_checks_leave_the_iterates_alone(monkeypatch):
+    # a converging run gives the same matrix, objective and iteration
+    # count whether its checks run as shipped, all refuse, or never run
+    def solve_all():
+        return [solve_sdp(build_las(inst, k, allow_low_level=True))
+                for inst, k in _feasible_runs()]
+
+    shipped = solve_all()
+    with monkeypatch.context() as m:
+        m.setattr(lasserre, "certificate_bound",
+                  lambda model, S, t, mu: (0.0, 1.0))
+        refused = solve_all()
+    monkeypatch.setattr(lasserre, "_EARLY_CHECKS", ())
+    monkeypatch.setattr(lasserre, "_CHECK_EVERY", 10 ** 9)
+    unchecked = solve_all()
+    assert sum(a.checks for a in shipped) >= 10
+    for a, b, c in zip(shipped, refused, unchecked, strict=True):
+        assert a.checks == b.checks and c.checks == 0
+        for other in (b, c):
+            assert a.M.tobytes() == other.M.tobytes()
+            assert a.objective == other.objective
+            assert a.iterations == other.iterations
 
 
 def test_stall_without_certificate_is_inconclusive(monkeypatch):
