@@ -435,9 +435,8 @@ def gap_search(group: AbelianGroup, level: int, n_values,
             key = _instance_key(instance)
             first = probed.get(key)
             if first is None:
-                report = _probe_instance(
+                probed[key] = report = _probe_instance(
                     instance, group, level, meta, eps, max_iter, row_cap)
-                probed[key] = report
             else:
                 diagnostics = dict(first.diagnostics, seed=child,
                                    repeat_of=first.diagnostics["seed"])
