@@ -1,14 +1,16 @@
 """Exact linear programming over rationals: floats propose, rationals decide.
 
-Programs of `_FLOAT_GUIDE_MIN_ROWS` rows or more first ask HiGHS.  Its
-answer is a proposal only.  The point and duals of an optimum, or the ray
-of a bounded Farkas LP when HiGHS finds the rows infeasible, are rounded
-to rationals on a fixed ladder of denominator bounds and accepted only
-when `certificate_problems` finds nothing wrong with them; the result then
-carries that certificate and took no pivots.  Everything else, a proposal
-that fails included, runs the cold two-phase simplex, which is also the
-only path below the size threshold.  Its phase-1 reduced costs give a
-Farkas ray for free, so every infeasible answer carries one.
+Every program first asks HiGHS.  Its answer is a proposal only.  The
+point and duals of an optimum, or the ray of a bounded Farkas LP when
+HiGHS finds the rows infeasible, are rounded to rationals on a fixed
+ladder of denominator bounds and accepted only when `certificate_problems`
+finds nothing wrong with them; the result then carries that certificate
+and took no pivots.  Only when no rung certifies the proposal (or HiGHS
+gives none, as for an unbounded program) does the cold two-phase simplex
+answer.  Its phase-1 reduced costs give a Farkas ray for free, so every
+infeasible answer carries one; its optima carry no dual.  It stops with
+`NonConvergence` once its pivots have made `_WORK_BUDGET` rational entry
+updates.
 
 Rows are kept as sparse {column: coefficient} dicts.  Pivoting uses
 largest-coefficient pricing but switches permanently to Bland's rule after a
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import InternalError, NonConvergence
 
 try:
     from gmpy2 import mpq as _num
@@ -33,8 +35,8 @@ except ImportError:  # pragma: no cover
 # degenerate pivots tolerated before switching to Bland
 _STALL_LIMIT = 60
 
-# below this many rows asking HiGHS first is not worth its overhead
-_FLOAT_GUIDE_MIN_ROWS = 150
+# rational entry updates the two-phase simplex may make in one solve
+_WORK_BUDGET = 12_000_000
 
 # denominator bounds tried, in order, when rounding a HiGHS proposal.  A
 # rung that fails costs an exact pass over the rows, so the ladder holds
@@ -112,13 +114,23 @@ class LPResult:
         return f"LPResult({self.status}, value={self.value})"
 
 
+def _subtract(target, row, f):
+    """target -= f * row on sparse dicts, dropping entries that reach 0."""
+    for c, v in row.items():
+        nv = target.get(c, _ZERO) - f * v
+        if nv == 0:
+            target.pop(c, None)
+        else:
+            target[c] = nv
+
+
 class _Tableau:
-    def __init__(self, rows, rhs, basis, num_cols):
+    def __init__(self, rows, rhs, basis):
         self.rows = rows          # list of sparse dicts
         self.rhs = rhs            # list of rationals, >= 0 invariant
         self.basis = basis        # basis[i] = basic column of row i
-        self.num_cols = num_cols
         self.pivots = 0
+        self.work = 0             # rational entry updates so far
 
     def pivot(self, row_idx, col):
         row = self.rows[row_idx]
@@ -128,23 +140,25 @@ class _Tableau:
             self.rows[row_idx] = row = {c: v * inv for c, v in row.items()}
             self.rhs[row_idx] *= inv
         b = self.rhs[row_idx]
+        updated = 0
         for i, other in enumerate(self.rows):
             if i == row_idx:
                 continue
             f = other.get(col)
             if f is None or f == 0:
                 continue
-            for c, v in row.items():
-                nv = other.get(c, _ZERO) - f * v
-                if nv == 0:
-                    other.pop(c, None)
-                else:
-                    other[c] = nv
+            _subtract(other, row, f)
             self.rhs[i] -= f * b
+            updated += 1
         self.basis[row_idx] = col
         self.pivots += 1
+        self.work += updated * len(row)
+        if self.work > _WORK_BUDGET:
+            raise NonConvergence(
+                f"exact simplex stopped after {self.pivots} pivots: "
+                f"work budget of {_WORK_BUDGET} rational updates exhausted")
 
-    def solve(self, cost, allowed, max_pivots=None):
+    def solve(self, cost, allowed):
         """Minimize cost over columns in `allowed`; returns (status, z, zrow).
 
         `cost` is a sparse dict over columns.  The tableau must hold a
@@ -154,17 +168,10 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             f = zrow.get(b)
             if f:
-                for c, v in self.rows[i].items():
-                    nv = zrow.get(c, _ZERO) - f * v
-                    if nv == 0:
-                        zrow.pop(c, None)
-                    else:
-                        zrow[c] = nv
+                _subtract(zrow, self.rows[i], f)
         bland = False
         stall = 0
         while True:
-            if max_pivots is not None and self.pivots > max_pivots:
-                raise RuntimeError("pivot budget exhausted")
             enter = None
             if bland:
                 for c in sorted(zrow):
@@ -199,13 +206,7 @@ class _Tableau:
             self.pivot(leave, enter)
             f = zrow.get(enter)
             if f:
-                row = self.rows[leave]
-                for c, v in row.items():
-                    nv = zrow.get(c, _ZERO) - f * v
-                    if nv == 0:
-                        zrow.pop(c, None)
-                    else:
-                        zrow[c] = nv
+                _subtract(zrow, self.rows[leave], f)
             if not bland:
                 # a zero step leaves the objective unchanged
                 if best_ratio == 0:
@@ -327,15 +328,16 @@ def _float_guided_tableau(lp, rows, rhs, flipped, total_cols):
             ri.append(i)
             ci.append(c)
             data.append(float(v))
-    mat = csc_matrix((data, (ri, ci)), shape=(m, total_cols))
+    cols = max(total_cols, 1)   # HiGHS wants a column; a zero one is harmless
+    mat = csc_matrix((data, (ri, ci)), shape=(m, cols))
     bvec = np.array([float(v) for v in rhs])
-    cvec = np.zeros(total_cols)
+    cvec = np.zeros(cols)
     for c, v in lp.objective.items():
         cvec[c] = float(v)
     try:
         res = linprog(cvec, A_eq=mat, b_eq=bvec, bounds=(0, None), method="highs")
         if res.status == 2:
-            ray = linprog(-bvec, A_ub=mat.T, b_ub=np.zeros(total_cols),
+            ray = linprog(-bvec, A_ub=mat.T, b_ub=np.zeros(cols),
                           bounds=(-1, 1), method="highs")
     except Exception:
         return None
@@ -383,11 +385,10 @@ def _two_phase(rows, rhs, objective, n, total_cols):
             phase1_cost[a] = _ONE
     start = list(basis)
     all_cols = total_cols + len(art_cols)
-    tab = _Tableau(rows, rhs, basis, all_cols)
+    tab = _Tableau(rows, rhs, basis)
 
     if art_cols:
-        allowed = set(range(all_cols))
-        status, z, zrow = tab.solve(phase1_cost, allowed)
+        status, z, zrow = tab.solve(phase1_cost, set(range(all_cols)))
         if status != "optimal":
             raise InternalError(f"phase 1 is bounded below, yet simplex said {status!r}")
         if z != 0:
@@ -454,9 +455,7 @@ def solve_lp(lp: ExactLP) -> LPResult:
         rhs.append(b)
     total_cols = col
 
-    res = None
-    if len(rows) >= _FLOAT_GUIDE_MIN_ROWS:
-        res = _float_guided_tableau(lp, rows, rhs, flipped, total_cols)
+    res = _float_guided_tableau(lp, rows, rhs, flipped, total_cols)
     if res is None:
         res = _two_phase(rows, rhs, lp.objective, n, total_cols)
         if res.certificate is not None:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import vcsprelax.simplex as simplex
 from vcsprelax.cli import main
 from vcsprelax.fileformat import parse_instance, parse_language
 from vcsprelax.model import brute_force_opt
@@ -126,11 +127,10 @@ def test_relax_sa_report(capsys, demo):
     assert "lp_opt = 1/3" in out
     assert "status = optimal" in out
     assert "gap = NO GAP" in out
-    assert any(line.startswith("pivots = ") for line in out)
-    # below the HiGHS threshold the optimum comes from the two-phase
-    # simplex, which carries no dual
-    assert "lp path = two-phase" in out
-    assert "certificate = none" in out
+    # the rounded HiGHS optimum passes the exact check with its dual
+    assert "pivots = 0" in out
+    assert "lp path = certified" in out
+    assert "certificate = dual" in out
 
 
 def test_relax_sa_dump(capsys, demo):
@@ -203,7 +203,7 @@ def test_relax_parity_pair_levels(capsys, tmp_path):
     assert rc == 0
     assert "lp_opt = inf" in out
     assert "gap = NO GAP" in out
-    assert "lp path = two-phase" in out
+    assert "lp path = certified" in out
     assert "certificate = farkas" in out
 
 
@@ -560,6 +560,23 @@ def test_exit_code_linear_algebra_failure(capsys, demo, monkeypatch):
     )
     assert rc == 4
     assert err.startswith("error: linear algebra failure")
+
+
+def test_exit_code_lp_work_budget(capsys, demo, monkeypatch):
+    # no rung certifies HiGHS's proposal, so the two-phase simplex runs,
+    # and it stops at its first update: the exact LP's budget, exit 4
+    monkeypatch.setattr(simplex, "_DENOMINATORS", ())
+    monkeypatch.setattr(simplex, "_WORK_BUDGET", 0)
+    rc, out, err = _run(
+        capsys,
+        ["relax", "--language", demo["lang"], "--instance", demo["inst"],
+         "--mode", "sa", "--level", "2"],
+    )
+    assert rc == 4
+    assert err.startswith("error: exact simplex stopped after 1 pivots")
+    rc, out, err = _run(capsys, ["analyze", "--language", demo["lang"]])
+    assert rc == 4
+    assert err.startswith("error: exact simplex stopped")
 
 
 def test_exit_code_empty_gapsearch_range(capsys):

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import vcsprelax.algebra as algebra
 import vcsprelax.sherali_adams as sherali_adams
 import vcsprelax.simplex as simplex
 from vcsprelax.equations import make_group, random_kxor
-from vcsprelax.errors import CapExceeded, InternalError
+from vcsprelax.errors import CapExceeded, InternalError, NonConvergence
 from vcsprelax.model import (
     VCSPInstance,
     WeightedRelation,
@@ -24,7 +25,7 @@ from vcsprelax.sherali_adams import (
     solve_lp_exact,
     verify_sa,
 )
-from vcsprelax.simplex import Certificate, LPResult
+from vcsprelax.simplex import Certificate, ExactLP, LPResult, certificate_problems, solve_lp
 from vcsprelax.values import INF, ZERO, ExtValue
 
 
@@ -311,14 +312,18 @@ def test_verify_block_checks_match_reference_loop():
         compared += 1
 
 
-def test_verify_checks_two_phase_ray():
-    # below the HiGHS threshold the ray comes from the phase-1 reduced
-    # costs; verify_sa checks it and rejects a missing or zero one
+def test_verify_checks_two_phase_ray(monkeypatch):
+    # the rounded HiGHS ray certifies this small model; forced past the
+    # ladder, the ray comes from the phase-1 reduced costs.  verify_sa
+    # checks it and rejects a missing or zero one
     inst = VCSPInstance(2, 2)
     inst.add_constraint(eq2(), (0, 1))
     inst.add_constraint(neq2(), (0, 1))
     model = build_sa(inst, 2)
-    assert model.num_rows < simplex._FLOAT_GUIDE_MIN_ROWS
+    sol = solve_lp_exact(model)
+    assert sol.path == "certified" and sol.certificate.kind == "farkas"
+    assert verify_sa(model, sol).ok
+    _uncertified(monkeypatch)
     sol = solve_lp_exact(model)
     assert sol.path == "two-phase" and sol.certificate.kind == "farkas"
     assert verify_sa(model, sol).ok
@@ -379,7 +384,7 @@ def test_infeasible_3xor_certified_by_farkas_ray():
     # 14 parity equations on 5 variables: level 3 refutes them, and the
     # rounded HiGHS ray passes the exact check without a pivot
     model = build_sa(random_kxor(5, 14, make_group("Z2"), seed=1), 3)
-    assert model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS
+    assert model.num_rows >= 150
     sol = solve_lp_exact(model)
     assert (sol.status, sol.path, sol.pivots) == ("infeasible", "certified", 0)
     assert sol.certificate.kind == "farkas"
@@ -405,7 +410,7 @@ def _submodular_instance(rng, n):
 def test_submodular_optimum_certified_by_dual(monkeypatch):
     inst = _submodular_instance(random.Random(2604), 9)
     model = build_sa(inst, 3)
-    assert model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS
+    assert model.num_rows >= 150
     sol = solve_lp_exact(model)
     assert (sol.status, sol.path, sol.pivots) == ("optimal", "certified", 0)
     assert sol.certificate.kind == "dual"
@@ -422,15 +427,18 @@ def test_submodular_optimum_certified_by_dual(monkeypatch):
     assert sol.value == ExtValue(Fraction(1))
     sol.certificate = Certificate("dual", [Fraction(0)] * model.num_rows)
     assert not verify_sa(model, sol).ok
+    # forced past the ladder, the cold two-phase simplex on these 1286
+    # rows outruns its work budget (lowered here so the test stays short)
+    # and stops with NonConvergence instead of answering
     _uncertified(monkeypatch)
-    ref = solve_lp_exact(model)
-    assert ref.path == "two-phase" and ref.certificate is None
-    assert ref.value == sol.value
+    monkeypatch.setattr(simplex, "_WORK_BUDGET", 300_000)
+    with pytest.raises(NonConvergence, match="work budget of 300000"):
+        solve_lp_exact(model)
 
 
 def _large_models(rng, count):
-    """Random SA models of at least the HiGHS threshold: weighted binary
-    and ternary instances at level 2, and parity pairs at level 3."""
+    """Random SA models of at least 150 rows: weighted binary and
+    ternary instances at level 2, and parity pairs at level 3."""
     out = []
     while len(out) < count:
         if len(out) % 3 == 2:
@@ -443,7 +451,7 @@ def _large_models(rng, count):
             inst = _random_instance(rng, rng.randint(7, 8), 2, rng.randint(6, 12))
             level = 2
         model = build_sa(inst, level)
-        if model.num_rows >= simplex._FLOAT_GUIDE_MIN_ROWS:
+        if model.num_rows >= 150:
             out.append(model)
     return out
 
@@ -460,3 +468,76 @@ def test_certified_and_pivoted_answers_agree(monkeypatch):
         ref = solve_lp_exact(model)
         assert ref.path != "certified"
         assert (ref.status, ref.value) == (sol.status, sol.value)
+
+
+def _fpol_lps(monkeypatch):
+    """The fractional-polymorphism LPs that algebra solves for the soft
+    implication: a feasibility LP and two max-mass LPs (mass 1/2 on max,
+    0 on xor), caught as they are solved."""
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(algebra, "solve_lp", record)
+    lang = algebra.ConstraintLanguage(2, [imp_soft()])
+    assert algebra.find_fractional_polymorphism(lang, 2) is not None
+    for name, table in (("max", (0, 1, 1, 1)), ("xor", (0, 1, 1, 0))):
+        algebra.supp_membership(lang, algebra.Operation(name, 2, 2, table))
+    monkeypatch.undo()
+    assert len(lps) == 3
+    return lps
+
+
+def _edge_lps():
+    """0-row LPs with and without columns, an LP with no objective and
+    one with only <= rows."""
+    no_rows = ExactLP(3)
+    no_rows.set_objective({0: 1, 2: Fraction(1, 2)})
+    no_objective = ExactLP(2)
+    no_objective.add_eq({0: 1, 1: 1}, 1)
+    no_objective.add_ge({0: 1}, Fraction(1, 3))
+    only_le = ExactLP(2)
+    only_le.set_objective({0: -1, 1: -2})   # max x0 + 2 x1: 4/3
+    only_le.add_le({0: 1, 1: 1}, 1)
+    only_le.add_le({1: 3}, 1)
+    return [(no_rows, 0), (ExactLP(0), 0), (no_objective, 0), (only_le, Fraction(-4, 3))]
+
+
+def test_small_lps_are_certified_and_match_two_phase(monkeypatch):
+    # every LP, however small, is answered by a checked HiGHS proposal:
+    # an optimum with its dual, infeasibility with a Farkas ray.  The
+    # forced two-phase simplex gives the same status and value
+    rng = random.Random(29)
+    models = []
+    for level in (1, 2, 3):
+        for q in (2, 3, 4):
+            models.append(build_sa(_random_instance(rng, 4, 2, q), level))
+    pair = VCSPInstance(2, 2).add_constraint(eq2(), (0, 1)).add_constraint(neq2(), (0, 1))
+    models += [build_sa(pair, 1), build_sa(pair, 2)]
+    sols = [solve_lp_exact(m) for m in models]
+    assert {s.status for s in sols} == {"optimal", "infeasible"}
+    for model, sol in zip(models, sols):
+        assert (sol.path, sol.pivots) == ("certified", 0)
+        kind = "dual" if sol.status == "optimal" else "farkas"
+        assert sol.certificate.kind == kind
+        assert verify_sa(model, sol).ok
+    fpol = _fpol_lps(monkeypatch)
+    edges = _edge_lps()
+    lps = fpol + [lp for lp, _ in edges]
+    results = [solve_lp(lp) for lp in lps]
+    assert [r.value for r in results[3:]] == [v for _, v in edges]
+    assert [r.value for r in results[1:3]] == [Fraction(-1, 2), 0]
+    for lp, res in zip(lps, results):
+        assert (res.status, res.path, res.pivots) == ("optimal", "certified", 0)
+        assert list(certificate_problems(lp, res.certificate, "dual", res.value, res.x)) == []
+    _uncertified(monkeypatch)
+    for model, sol in zip(models, sols):
+        ref = solve_lp_exact(model)
+        assert ref.path == "two-phase"
+        assert (ref.status, ref.value) == (sol.status, sol.value)
+    for lp, res in zip(lps, results):
+        ref = solve_lp(lp)
+        assert ref.path == "two-phase"
+        assert (ref.status, ref.value) == (res.status, res.value)

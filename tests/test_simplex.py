@@ -142,9 +142,10 @@ def _certificate_holds(lp, res):
             and all(s <= lp.objective.get(c, 0) for c, s in enumerate(aty)))
 
 
-def test_small_infeasible_lps_carry_a_two_phase_ray():
-    # the ray comes from the phase-1 reduced costs; a row solve_lp
-    # sign-flips (negative rhs) gets its multiplier back in its own sign
+def test_small_infeasible_lps_carry_a_two_phase_ray(monkeypatch):
+    # forced past the ladder, the ray comes from the phase-1 reduced
+    # costs; a row solve_lp sign-flips (negative rhs) gets its
+    # multiplier back in its own sign
     lps = []
     lp = ExactLP(1)
     lp.add_le({0: 1}, -1)
@@ -163,14 +164,20 @@ def test_small_infeasible_lps_carry_a_two_phase_ray():
     for lp in lps:
         res = solve_lp(lp)
         assert res.status == "infeasible"
+        assert res.path == "certified" and res.certificate.kind == "farkas"
+        assert _certificate_holds(lp, res)
+    _uncertified(monkeypatch)
+    for lp in lps:
+        res = solve_lp(lp)
+        assert res.status == "infeasible"
         assert res.path == "two-phase" and res.certificate.kind == "farkas"
         assert _certificate_holds(lp, res)
 
 
 def _big_lp(rng, n=12, m=160, infeasible=False):
-    """A bounded LP of at least `_FLOAT_GUIDE_MIN_ROWS` rows mixing <=,
-    >= (sign-flipped) and equality rows; `infeasible` adds a >= row that
-    the cap row contradicts."""
+    """A bounded LP of at least 150 rows mixing <=, >= (sign-flipped)
+    and equality rows; `infeasible` adds a >= row that the cap row
+    contradicts."""
     lp = ExactLP(n)
     lp.set_objective({j: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for j in range(n)})
     lp.add_le({j: 1 for j in range(n)}, n)
@@ -207,7 +214,7 @@ def test_large_lp_is_certified_without_pivots(monkeypatch, kind):
         lp = _covering_lp(random.Random(7))
     else:
         lp = _big_lp(random.Random(5), infeasible=kind == "infeasible")
-    assert len(lp.rows) >= simplex._FLOAT_GUIDE_MIN_ROWS
+    assert len(lp.rows) >= 150
     res = solve_lp(lp)
     assert res.path == "certified" and res.pivots == 0
     assert res.status == ("infeasible" if kind == "infeasible" else "optimal")
