@@ -15,6 +15,7 @@ import vcsprelax.simplex as simplex
 from vcsprelax.equations import make_group, random_kxor
 from vcsprelax.errors import CapExceeded, InternalError, NonConvergence
 from vcsprelax.model import (
+    ConstraintLanguage,
     VCSPInstance,
     WeightedRelation,
     brute_force_opt,
@@ -481,7 +482,7 @@ def _fpol_lps(monkeypatch):
         return solve_lp(lp)
 
     monkeypatch.setattr(algebra, "solve_lp", record)
-    lang = algebra.ConstraintLanguage(2, [imp_soft()])
+    lang = ConstraintLanguage(2, [imp_soft()])
     assert algebra.find_fractional_polymorphism(lang, 2) is not None
     for name, table in (("max", (0, 1, 1, 1)), ("xor", (0, 1, 1, 0))):
         algebra.supp_membership(lang, algebra.Operation(name, 2, 2, table))
