@@ -74,6 +74,11 @@ def _fmt_float(x: float, eps: float) -> str:
     return f"{x!r} (float, eps = {eps!r})"
 
 
+def _rho_schedule_line(sol) -> str:
+    return "rho schedule = " + " ".join(
+        f"{it}:{rho!r}" for it, rho in sol.rho_schedule)
+
+
 def _config_lines(args) -> list:
     out = []
     for key in sorted(vars(args)):
@@ -179,6 +184,7 @@ def cmd_relax(args) -> list:
         lines.append(f"certificate bound = {sol.bound!r}")
         lines.append(f"certificate checks = {sol.checks}")
         lines.append(f"iterations = {sol.iterations}")
+        lines.append(_rho_schedule_line(sol))
         lines.append(f"displacement = {sol.displacement!r}")
         if vcsp is None:
             lines.append("gap = unknown")
@@ -190,6 +196,7 @@ def cmd_relax(args) -> list:
     lines.append(f"stop = {sol.stop}")
     lines.append(f"certificate checks = {sol.checks}")
     lines.append(f"iterations = {sol.iterations}")
+    lines.append(_rho_schedule_line(sol))
     for key in sorted(sol.residuals):
         lines.append(f"residual {key} = {sol.residuals[key]!r}")
     if vcsp is None:

@@ -168,6 +168,14 @@ class LasModel:
 
 
 class _TieFactorization:
+    """The rank-reduced tie system A_red y = a_red, with the Cholesky
+    factor of A_red diag(1/weights) A_red^T.
+
+    The kept rows are held dense, so no call builds a sparse transpose
+    of A_red; the array is the same order of size as the dense QR
+    input that `_factor_ties` already forms.
+    """
+
     def __init__(self, A_red, a_red, weights, chol, inconsistent):
         self.A_red = A_red
         self.a_red = a_red
@@ -175,16 +183,23 @@ class _TieFactorization:
         self.chol = chol
         self.inconsistent = inconsistent
 
+    def _solve(self, rhs):
+        # dpotrs flags only bad arguments; a non-finite iterate shows
+        # in its output
+        x, info = scipy.linalg.lapack.dpotrs(self.chol, rhs)
+        if info or not np.isfinite(x).all():
+            raise np.linalg.LinAlgError("tie solve on a non-finite iterate")
+        return x
+
     def project(self, v):
         """Projection of v onto {A y = a} in the diag(weights) metric."""
-        gap = self.A_red @ v - self.a_red
-        mu = scipy.linalg.cho_solve(self.chol, gap)
-        return v - (self.A_red.T @ mu) / self.weights
+        mu = self._solve(self.A_red @ v - self.a_red)
+        return v - (mu @ self.A_red) / self.weights
 
     def multipliers(self, g):
         """Tie multipliers mu making A_red^T mu closest to g in the
         diag(1/weights) metric (weighted least squares)."""
-        return scipy.linalg.cho_solve(self.chol, self.A_red @ (g / self.weights))
+        return self._solve(self.A_red @ (g / self.weights))
 
 
 def _factor_ties(model: LasModel) -> _TieFactorization:
@@ -192,16 +207,16 @@ def _factor_ties(model: LasModel) -> _TieFactorization:
     weights = np.bincount(model.cls, minlength=model.num_classes).astype(float) + 1.0
     touched = np.unique(A.indices) if A.nnz else np.array([0])
     dense_t = A[:, touched].toarray().T
-    _, r_mat, piv = scipy.linalg.qr(dense_t, mode="economic", pivoting=True)
+    r_mat, piv = scipy.linalg.qr(dense_t, mode="r", pivoting=True)
     diag = np.abs(np.diag(r_mat))
     tol = max(dense_t.shape) * np.finfo(float).eps * (diag[0] if diag.size else 1.0)
+    del dense_t, r_mat
     rank = int((diag > max(tol, 1e-12)).sum())
     keep = np.sort(piv[:rank])
     A_red = A[keep].tocsr()
-    a_red = a[keep]
     gram = (A_red @ scipy.sparse.diags(1.0 / weights) @ A_red.T).toarray()
-    chol = scipy.linalg.cho_factor(gram)
-    fact = _TieFactorization(A_red, a_red, weights, chol, False)
+    chol, _ = scipy.linalg.cho_factor(gram)
+    fact = _TieFactorization(A_red.toarray(), a[keep], weights, chol, False)
     # dropped rows must be consequences of the kept ones; if not, the
     # tie system has no solution and neither does the relaxation
     probe = fact.project(np.zeros(model.num_classes))
@@ -213,14 +228,16 @@ class GramSolution:
     """A converged Gram matrix with objective and diagnostics.
 
     `checks` counts the certificate checks the solver ran before it
-    converged (none of them certified).
+    converged (none of them certified).  `rho_schedule` lists the
+    solver's (iteration, rho) pairs: (0, initial rho), then one pair per
+    change (empty for a transported solution).
     """
 
     status = "solved"
     stop = "converged"
 
     def __init__(self, M, objective, iterations, eps, residuals, checks=0,
-                 model=None):
+                 model=None, rho_schedule=()):
         self.M = M
         self.objective = objective
         self.iterations = iterations
@@ -228,6 +245,7 @@ class GramSolution:
         self.residuals = residuals
         self.checks = checks
         self.model = model
+        self.rho_schedule = list(rho_schedule)
 
     def within_tolerance(self, residuals=None) -> bool:
         """The residual-acceptance rule: the unit, class-spread, zero-tie,
@@ -257,17 +275,20 @@ class NumericallyInfeasible:
     is the distance between the two projection outputs at the stop
     (infinity for the tie system).  `checks` counts the certificate
     checks run, the certifying one included (0 for the tie system).
+    `rho_schedule` lists (iteration, rho) pairs as on `GramSolution`.
     """
 
     status = "infeasible"
 
-    def __init__(self, iterations, displacement, eps, stop, bound, checks):
+    def __init__(self, iterations, displacement, eps, stop, bound, checks,
+                 rho_schedule):
         self.iterations = iterations
         self.displacement = displacement
         self.eps = eps
         self.stop = stop
         self.bound = bound
         self.checks = checks
+        self.rho_schedule = list(rho_schedule)
 
     def __repr__(self):
         return (f"NumericallyInfeasible(stop={self.stop!r}, "
@@ -497,8 +518,10 @@ def solve_sdp(
     results count the checks run in `checks`.  Raises NonConvergence
     when the primal residual, looked at every 50 iterations, stalls
     above delta_inf without a certificate, after max_iter undecided
-    iterations, or when a factorization or eigendecomposition fails.
-    Deterministic for fixed inputs.
+    iterations, when a factorization or eigendecomposition fails, or
+    when an iterate turns non-finite (the tie solve refuses it).
+    Results record the rho schedule in `rho_schedule`.  Deterministic
+    for fixed inputs.
     """
     try:
         return _split(model, eps, max_iter, delta_inf, rho)
@@ -508,20 +531,23 @@ def solve_sdp(
 
 def _split(model, eps, max_iter, delta_inf, rho):
     fact = model._solver_data()
+    rho_schedule = [(0, rho)]
     if fact.inconsistent:
         return NumericallyInfeasible(
             iterations=0, displacement=float("inf"), eps=eps,
-            stop="tie-system", bound=float("-inf"), checks=0)
+            stop="tie-system", bound=float("-inf"), checks=0,
+            rho_schedule=rho_schedule)
 
-    nc_w = np.bincount(model.cls, minlength=model.num_classes).astype(float)
-    pos_r, pos_c, cls = model.pos_r, model.pos_c, model.cls
+    N = model.num_rows
+    flat = model.pos_r * N + model.pos_c
+    cls = model.cls
+    nc_w = np.bincount(cls, minlength=model.num_classes).astype(float)
     b = model.b
     y = model.y0.copy()
     w = y.copy()
     u = np.zeros_like(y)
-    N = model.num_rows
     M_y = np.zeros((N, N))
-    M_y[pos_r, pos_c] = y[cls]
+    M_y.reshape(-1)[flat] = y[cls]
     Z = M_y.copy()
     U = np.zeros((N, N))
     hist = deque(maxlen=_STALL_WINDOW)
@@ -529,25 +555,26 @@ def _split(model, eps, max_iter, delta_inf, rho):
     checks = 0
 
     for it in range(1, max_iter + 1):
-        g1 = np.bincount(cls, weights=(Z - U)[pos_r, pos_c],
-                         minlength=model.num_classes) / np.maximum(nc_w, 1.0)
-        v = (nc_w * g1 + (w - u) - b / rho) / (nc_w + 1.0)
+        g = np.bincount(cls, weights=(Z - U).reshape(-1)[flat],
+                        minlength=model.num_classes)
+        v = (g + (w - u) - b / rho) / (nc_w + 1.0)
         y = fact.project(v)
-        M_y[pos_r, pos_c] = y[cls]
+        M_y.reshape(-1)[flat] = y[cls]
 
         evals, evecs = np.linalg.eigh(M_y + U)
         take = evals > 0.0
         if take.any():
-            part = evecs[:, take] * evals[take]
-            Zn = part @ evecs[:, take].T
-            Zn = (Zn + Zn.T) * 0.5
+            Zn = (evecs[:, take] * evals[take]) @ evecs[:, take].T
+            Zn += Zn.T
+            Zn *= 0.5
         else:
             Zn = np.zeros_like(M_y)
         wn = np.maximum(y + u, 0.0)
 
-        U += M_y - Zn
+        R = M_y - Zn
+        U += R
         u += y - wn
-        r = max(float(np.abs(M_y - Zn).max()), float(np.abs(y - wn).max()))
+        r = max(float(np.abs(R).max()), float(np.abs(y - wn).max()))
         s = rho * max(float(np.abs(Zn - Z).max()),
                       float(np.abs(wn - w).max(initial=0.0)))
         Z = Zn
@@ -556,7 +583,7 @@ def _split(model, eps, max_iter, delta_inf, rho):
 
         if r <= eps and s <= eps:
             return _polish(model, fact, Z, it, eps, checks,
-                           {"primal": r, "dual": s, "rho": rho})
+                           {"primal": r, "dual": s, "rho": rho}, rho_schedule)
         if it % _CHECK_EVERY == 0 or it in _EARLY_CHECKS:
             S, t = -U, -u
             mu = fact.multipliers(model.class_sums(S) + t)
@@ -565,7 +592,8 @@ def _split(model, eps, max_iter, delta_inf, rho):
             if beta < -delta_inf * scale:
                 return NumericallyInfeasible(
                     iterations=it, displacement=r, eps=eps,
-                    stop="certificate", bound=beta / scale, checks=checks)
+                    stop="certificate", bound=beta / scale, checks=checks,
+                    rho_schedule=rho_schedule)
             if it >= _STALL_START and len(hist) == _STALL_WINDOW:
                 lo, hi = min(hist), max(hist)
                 if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
@@ -581,6 +609,8 @@ def _split(model, eps, max_iter, delta_inf, rho):
                 rho *= 0.5
                 U *= 2.0
                 u *= 2.0
+            if rho != rho_schedule[-1][1]:
+                rho_schedule.append((it, rho))
 
     raise NonConvergence(
         f"budget exhausted: undecided after {max_iter} iterations "
@@ -606,7 +636,7 @@ def certificate_bound(model: LasModel, S, t, mu):
     of these float sums (about N times machine epsilon).
     """
     fact = model._solver_data()
-    r = model.class_sums(S) + t - fact.A_red.T @ mu
+    r = model.class_sums(S) + t - mu @ fact.A_red
     evals = np.linalg.eigvalsh(S)
     N = model.num_rows
     beta = (float(mu @ fact.a_red) + float(np.maximum(r, 0.0).sum())
@@ -615,7 +645,8 @@ def certificate_bound(model: LasModel, S, t, mu):
     return beta, scale
 
 
-def _polish(model, fact, Z, iterations, eps, checks, solver_stats):
+def _polish(model, fact, Z, iterations, eps, checks, solver_stats,
+            rho_schedule):
     # one exact affine projection of the converged iterate; ties and
     # marginalization then hold to rounding error, the cone to solver
     # tolerance
@@ -626,7 +657,7 @@ def _polish(model, fact, Z, iterations, eps, checks, solver_stats):
     residuals.update(model.residual_report(M))
     residuals["polish_gap"] = float(np.abs(M - Z).max())
     return GramSolution(M, model.value_of(M), iterations, eps, residuals,
-                        checks, model=model)
+                        checks, model=model, rho_schedule=rho_schedule)
 
 
 def sdp_opt(

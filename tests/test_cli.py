@@ -617,3 +617,27 @@ def test_module_entry_point(demo):
     )
     assert proc.returncode == 0
     assert "bwc summary = satisfied up to 4" in proc.stdout
+
+
+def test_relax_las_prints_rho_schedule(capsys, demo, tmp_path):
+    # a second soft(x0) term: the primal residual leads at iteration 50,
+    # so rho doubles, and the dual leads at 100, so it halves back
+    inst = _write(tmp_path, "soft2.txt", DEMO_INST + "constraint soft 0\n")
+    rc, out, _ = _run(
+        capsys,
+        ["relax", "--language", demo["lang"], "--instance", inst,
+         "--mode", "las", "--level", "2"],
+    )
+    assert rc == 0
+    assert "status = converged" in out
+    assert "rho schedule = 0:1.0 50:2.0 100:1.0" in out
+    assert "residual rho = 1.0" in out
+    # a tie-system refutation never iterates: the schedule is its start
+    lang = _write(tmp_path, "pair.txt", PAIR_LANG)
+    rc, out, _ = _run(
+        capsys,
+        ["relax", "--language", lang, "--instance", _write(
+            tmp_path, "pinst.txt", PAIR_INST), "--mode", "las", "--level", "2"],
+    )
+    assert rc == 0
+    assert "rho schedule = 0:1.0" in out

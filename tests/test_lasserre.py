@@ -353,3 +353,71 @@ def test_stall_without_certificate_is_inconclusive(monkeypatch):
                         lambda model, S, t, mu: (0.0, 1.0))
     with pytest.raises(NonConvergence, match="stalled without certificate"):
         solve_sdp(build_las(_equality_cycle(), 2))
+
+
+def test_non_finite_iterate_is_nonconvergence(monkeypatch):
+    # a NaN cost reaches the first affine step; the tie solve refuses
+    # it there instead of iterating on NaNs until the budget runs out
+    calls = 0
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    inst = VCSPInstance(2, 2).add_constraint(mixed_costs, (0, 1))
+    model = build_las(inst, 2)
+    model.b[0] = np.nan
+    with pytest.raises(NonConvergence, match="linear algebra failure"):
+        solve_sdp(model)
+    assert calls == 0
+
+
+def _tie_systems():
+    # consistent systems, every one rank-deficient: Tseitin K4 and an
+    # unsatisfiable 3-XOR at level 3, the equality cycle at level 2
+    z2 = make_group("Z2")
+    return [build_las(_k4_tseitin(), 3),
+            build_las(random_kxor(6, 9, z2, seed=2480531333), 3),
+            build_las(_equality_cycle(), 2)]
+
+
+def test_tie_projection_matches_least_squares():
+    rng = np.random.default_rng(5)
+    for model in _tie_systems():
+        fact = model._solver_data()
+        A = model.A.toarray()
+        assert not fact.inconsistent
+        assert fact.A_red.shape[0] < A.shape[0]
+        root = np.sqrt(fact.weights)
+        v = rng.normal(size=model.num_classes)
+        y = fact.project(v)
+        # the full system holds, dropped rows included
+        assert np.abs(A @ y - model.a).max() <= 1e-10
+        # the weighted projection: y = v + z / root with z the
+        # least-norm solution of (A / root) z = a - A v
+        z = np.linalg.lstsq(A / root, model.a - A @ v, rcond=None)[0]
+        assert np.abs(y - (v + z / root)).max() <= 1e-9
+        # the multipliers: A_red^T mu closest to g in the 1/weights metric
+        g = rng.normal(size=model.num_classes)
+        mu = np.linalg.lstsq(fact.A_red.T / root[:, None], g / root,
+                             rcond=None)[0]
+        assert np.abs(fact.multipliers(g) - mu).max() <= 1e-8 * max(
+            1.0, np.abs(mu).max())
+
+
+def test_inconsistent_tie_systems_stay_inconsistent():
+    # the equality cycle at full level 3, and a 3-XOR on 7 variables
+    # whose one repeated variable set carries x2+x3+x4 = 0 and = 1
+    z2 = make_group("Z2")
+    probe = random_kxor(7, 10, z2, seed=0)
+    scopes = [frozenset(c.scope) for c in probe.constraints]
+    assert len(set(scopes)) == len(scopes) - 1
+    assert scopes.count(frozenset({2, 3, 4})) == 2
+    for model in (build_las(_equality_cycle(), 3), build_las(probe, 3)):
+        assert model._solver_data().inconsistent
+        res = solve_sdp(model)
+        assert res.stop == "tie-system"
+        assert res.rho_schedule == [(0, 1.0)]
