@@ -26,6 +26,7 @@ relation it simulates.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -421,7 +422,10 @@ def cmd_gapsearch(args) -> list:
     return lines
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # gives each call a fresh namespace
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--level", type=int, default=2,
                         help="relaxation level k (default: 2)")

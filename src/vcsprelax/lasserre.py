@@ -46,7 +46,6 @@ guarantees live in the LP module, not here.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
 
 import numpy as np
@@ -73,6 +72,7 @@ _STALL_WINDOW = 300
 _STALL_SPREAD = 0.05
 _RHO_MIN = 1e-3
 _RHO_MAX = 1e3
+_GRID_PAIRS = 1 << 20  # pairs per block of the builder's pair grid
 
 
 class LasModel:
@@ -87,7 +87,7 @@ class LasModel:
     """
 
     def __init__(self, instance, level, subset_mode, aug, designated,
-                 rows, row_of, aug_rows, class_masks, num_classes,
+                 rows, row_of, aug_rows, num_classes,
                  pos_r, pos_c, cls, filled, A, a, b, y0,
                  obj_rows, obj_costs):
         self.instance = instance
@@ -98,7 +98,6 @@ class LasModel:
         self.rows = rows
         self.row_of = row_of
         self.aug_rows = aug_rows
-        self.class_masks = class_masks
         self.num_classes = num_classes
         self.pos_r = pos_r
         self.pos_c = pos_c
@@ -309,6 +308,18 @@ def build_las(
     scope unless allow_low_level is set; the relaxation is still sound
     below that level, but blocks wider than the level are tied to the
     rest only through the cone, not through marginalization.
+
+    Entry classes come from the virtual rows: the unit row, then every
+    assignment of every block, infeasible ones included.  Each is a
+    one-hot key (bit v*d + value for each variable it fixes, in
+    ceil(n*d/64) uint64 words) with a mask of its variables.  Two are
+    compatible iff the union of their keys has as many bits as the
+    union of their masks; that union keys the combined assignment, and
+    equal keys make a class.  The upper-triangular pair grid is formed
+    in row-major order, in blocks of first rows of at most _GRID_PAIRS
+    pairs.  Classes are numbered by first pair; one with a pair on an
+    infeasible assignment is pinned to zero and dropped.  Tie rows and
+    the objective find classes by binary search on the sorted keys.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -323,7 +334,8 @@ def build_las(
     rows = [None]
     row_of = {}
     aug_rows = []
-    obj_terms = []
+    obj_rows = []
+    obj_costs = []
     for i, entry in enumerate(aug):
         block = {}
         for sigma, cost in entry.assignments(d):
@@ -331,171 +343,155 @@ def build_las(
             block[sigma] = len(rows)
             rows.append((i, sigma))
             if cost:
-                obj_terms.append((len(rows) - 1, i, sigma, cost))
+                obj_rows.append(len(rows) - 1)
+                obj_costs.append(float(cost))
         aug_rows.append(block)
     if len(rows) > row_cap:
         raise CapExceeded(f"Gram dimension {len(rows)} exceeds cap {row_cap}")
-
-    # assignments are encoded as integers in base d+1, one digit per
-    # variable, 0 meaning unconstrained; disjoint scopes then combine
-    # by addition
-    base = d + 1
-    powers = [base ** t for t in range(n)]
-
-    virt_enc = []
-    virt_mask = []
-    virt_vals = []
-    virt_row = []
-    virt_enc.append(0)
-    virt_mask.append(0)
-    virt_vals.append([-1] * n)
-    virt_row.append(0)
-    for i, entry in enumerate(aug):
-        vars_ = entry.vars
-        for sigma in itertools.product(range(d), repeat=len(vars_)):
-            enc = 0
-            mask = 0
-            vals = [-1] * n
-            for v, val in zip(vars_, sigma):
-                enc += (val + 1) * powers[v]
-                mask |= 1 << v
-                vals[v] = val
-            virt_enc.append(enc)
-            virt_mask.append(mask)
-            virt_vals.append(vals)
-            virt_row.append(row_of.get((i, sigma)))
-
-    class_of_key = {0: 0}
-    class_masks = [0]
-    pinned = set()
-    acc_r = array("l")
-    acc_c = array("l")
-    acc_k = array("l")
-    nv = len(virt_enc)
-    for ai in range(nv):
-        enc_a = virt_enc[ai]
-        mask_a = virt_mask[ai]
-        vals_a = virt_vals[ai]
-        row_a = virt_row[ai]
-        for bi in range(ai, nv):
-            mask_b = virt_mask[bi]
-            overlap = mask_a & mask_b
-            if overlap:
-                vals_b = virt_vals[bi]
-                shared = 0
-                bad = False
-                om = overlap
-                while om:
-                    t = (om & -om).bit_length() - 1
-                    om &= om - 1
-                    va = vals_a[t]
-                    if va != vals_b[t]:
-                        bad = True
-                        break
-                    shared += (va + 1) * powers[t]
-                if bad:
-                    continue
-                enc = enc_a + virt_enc[bi] - shared
-                mask = mask_a | mask_b
-            else:
-                enc = enc_a + virt_enc[bi]
-                mask = mask_a | mask_b
-            cid = class_of_key.get(enc)
-            if cid is None:
-                cid = len(class_masks)
-                class_of_key[enc] = cid
-                class_masks.append(mask)
-            row_b = virt_row[bi]
-            if row_a is None or row_b is None:
-                pinned.add(cid)
-            else:
-                acc_r.append(row_a)
-                acc_c.append(row_b)
-                acc_k.append(cid)
-
-    old_count = len(class_masks)
-    keep_mask = np.ones(old_count, dtype=bool)
-    for cid in pinned:
-        keep_mask[cid] = False
-    old2new = -np.ones(old_count, dtype=np.int64)
-    old2new[keep_mask] = np.arange(int(keep_mask.sum()))
-    num_classes = int(keep_mask.sum())
-
-    R = np.frombuffer(acc_r, dtype=np.int64) if acc_r else np.zeros(0, np.int64)
-    Cc = np.frombuffer(acc_c, dtype=np.int64) if acc_c else np.zeros(0, np.int64)
-    K = np.frombuffer(acc_k, dtype=np.int64) if acc_k else np.zeros(0, np.int64)
-    live = keep_mask[K]
-    R, Cc, K = R[live], Cc[live], K[live]
-    off = R != Cc
-    pos_r = np.concatenate([R, Cc[off]])
-    pos_c = np.concatenate([Cc, R[off]])
-    cls = old2new[np.concatenate([K, K[off]])]
-
-    N = len(rows)
-    filled = np.zeros((N, N), dtype=bool)
-    filled[pos_r, pos_c] = True
-
-    kept_masks = [m for m, k in zip(class_masks, keep_mask) if k]
-    y0 = np.array([float(d) ** -bin(m).count("1") for m in kept_masks])
-
-    def class_id(enc):
-        cid = class_of_key.get(enc)
-        if cid is None or not keep_mask[cid]:
-            return None
-        return int(old2new[cid])
-
-    # tie rows: unit mass at the top, then one marginalization row per
-    # designated scope set, eliminated variable, and outer assignment;
-    # pinned classes contribute a fixed zero and are omitted
-    data, rix, cix, rhs = [], [], [], []
-    data.append(1.0)
-    rix.append(0)
-    cix.append(0)
-    rhs.append(1.0)
-    row_no = 1
-    for X in sorted(designated, key=lambda t: (len(t), t)):
-        for v in X:
-            rest = tuple(u for u in X if u != v)
-            for sigma in itertools.product(range(d), repeat=len(rest)):
-                enc_rest = sum((s + 1) * powers[u] for u, s in zip(rest, sigma))
-                terms = []
-                for val in range(d):
-                    cid = class_id(enc_rest + (val + 1) * powers[v])
-                    if cid is not None:
-                        terms.append((cid, 1.0))
-                tgt = class_id(enc_rest)
-                if tgt is not None:
-                    terms.append((tgt, -1.0))
-                if not terms:
-                    continue
-                for cid, coef in terms:
-                    data.append(coef)
-                    rix.append(row_no)
-                    cix.append(cid)
-                rhs.append(0.0)
-                row_no += 1
-    A = scipy.sparse.csr_matrix(
-        (data, (rix, cix)), shape=(row_no, num_classes))
-    a = np.array(rhs)
-
-    b = np.zeros(num_classes)
-    obj_rows = []
-    obj_costs = []
-    for ridx, i, sigma, cost in obj_terms:
-        obj_rows.append(ridx)
-        obj_costs.append(float(cost))
-        enc = sum((s + 1) * powers[v]
-                  for v, s in zip(aug[i].vars, sigma))
-        cid = class_id(enc)
-        if cid is not None:
-            b[cid] += float(cost)
     obj_rows = np.array(obj_rows, dtype=np.int64)
     obj_costs = np.array(obj_costs)
 
+    hot, mask, vrow = _virtual_rows(aug, aug_rows, n, d)
+    words = hot.shape[1]
+    first, second, keys = _pair_keys(hot, mask)
+
+    # classes are the runs of equal keys after a stable sort, so a run
+    # starts at its first pair; the sort goes by the key bytes that can
+    # be nonzero, first byte first (radix sorts, and the byte order of
+    # memcmp, which the searches below use)
+    order = np.lexsort(keys.view(np.uint8)[:, :max(1, -(-n * d // 8))].T[::-1])
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    run = np.cumsum(head) - 1
+    pinned = np.zeros(run[-1] + 1, dtype=bool)
+    first, second = vrow[first], vrow[second]  # Gram rows, -1 infeasible
+    pinned[run[((first < 0) | (second < 0))[order]]] = True
+    kept = np.flatnonzero(~pinned)
+    kept = kept[np.argsort(order[head][kept])]  # by first pair
+    num_classes = len(kept)
+    run_id = np.full(len(pinned), -1, dtype=np.int64)
+    run_id[kept] = np.arange(num_classes)
+    y0 = np.array([float(d) ** -k for k in range(n + 1)])[
+        np.bitwise_count(keys[head][kept]).sum(axis=1)]
+
+    pair_id = np.empty(len(order), dtype=np.int64)
+    pair_id[order] = run_id[run]
+    live = pair_id >= 0
+    R, Cc, K = first[live], second[live], pair_id[live]
+    off = R != Cc
+    pos_r = np.concatenate([R, Cc[off]])
+    pos_c = np.concatenate([Cc, R[off]])
+    cls = np.concatenate([K, K[off]])
+
+    filled = np.zeros((len(rows), len(rows)), dtype=bool)
+    filled[pos_r, pos_c] = True
+
+    # kept classes in key order, searched as opaque byte strings
+    class_keys = keys[head][~pinned]
+    class_ids = run_id[~pinned]
+    key_type = np.dtype(f"V{8 * words}")
+
+    def class_of(q):
+        """Class of each key row of q, -1 if absent or pinned."""
+        pos = np.searchsorted(class_keys.view(key_type).ravel(),
+                              np.ascontiguousarray(q).view(key_type).ravel())
+        hit = pos < num_classes
+        hit[hit] = (class_keys[pos[hit]] == q[hit]).all(axis=1)
+        ids = np.full(len(q), -1, dtype=np.int64)
+        ids[hit] = class_ids[pos[hit]]
+        return ids
+
+    # tie rows: unit mass at the top, then one marginalization row per
+    # designated scope set, eliminated variable and outer assignment,
+    # +1 on the class of each extension and -1 on the outer
+    # assignment's; pinned classes contribute a fixed zero and are
+    # omitted.  Each row asks for d + 1 keys, bit -1 for the outer one.
+    width = max(map(len, designated), default=0)
+    queries = [np.zeros((0, width), dtype=np.int64)]
+    for size, group in itertools.groupby(
+            sorted(designated, key=lambda t: (len(t), t)), key=len):
+        X = np.array(list(group), dtype=np.int64)
+        rest = np.stack([np.delete(X, v, axis=1) for v in range(size)], 1)
+        outer = np.array(list(itertools.product(range(d), repeat=size - 1)),
+                         dtype=np.int64).reshape(d ** (size - 1), size - 1)
+        bits = np.full((len(X), size, len(outer), d + 1, width), -1)
+        bits[..., :size - 1] = rest[:, :, None, None] * d + outer[:, None]
+        bits[..., :d, size - 1] = X[:, :, None, None] * d + np.arange(d)
+        queries.append(bits.reshape(-1, width))
+    terms = class_of(_onehot(np.concatenate(queries), words)).reshape(-1, d + 1)
+    terms = terms[(terms >= 0).any(axis=1)]
+    line, col = np.nonzero(terms >= 0)
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate([[1.0], np.where(col < d, 1.0, -1.0)]),
+         (np.concatenate([[0], line + 1]),
+          np.concatenate([[0], terms[line, col]]))),
+        shape=(len(terms) + 1, num_classes))
+    a = np.zeros(len(terms) + 1)
+    a[0] = 1.0
+
+    # Gram rows are the feasible virtual rows, in order
+    obj_ids = class_of(hot[np.flatnonzero(vrow >= 0)[obj_rows]])
+    has = obj_ids >= 0
+    b = np.zeros(num_classes)
+    np.add.at(b, obj_ids[has], obj_costs[has])
+
     return LasModel(instance, level, subset_mode, aug, designated,
-                    rows, row_of, aug_rows, kept_masks, num_classes,
+                    rows, row_of, aug_rows, num_classes,
                     pos_r, pos_c, cls, filled, A, a, b, y0,
                     obj_rows, obj_costs)
+
+
+def _onehot(bits, words):
+    """Each row of bit positions as a row of `words` uint64 words with
+    those bits set.  Positions are distinct within a row; -1 sets no
+    bit (it lands in a spare last word, which is dropped)."""
+    keys = np.zeros((len(bits), words + 1), dtype=np.uint64)
+    at = np.arange(len(bits))
+    for col in bits.T:
+        keys[at, col >> 6] |= np.uint64(1) << (col & 63).astype(np.uint64)
+    return keys[:, :words]
+
+
+def _virtual_rows(aug, aug_rows, n, d):
+    """One-hot keys and variable masks of the virtual rows, the unit row
+    and then every assignment of every block in product order, with
+    their Gram rows (-1 for an infeasible assignment)."""
+    nv = 1 + sum(d ** len(e.vars) for e in aug)
+    var = np.full((nv, max((len(e.vars) for e in aug), default=0)), -1)
+    val = np.zeros_like(var)
+    vrow = [0]
+    for i, entry in enumerate(aug):
+        m = len(entry.vars)
+        sigmas = list(itertools.product(range(d), repeat=m))
+        at = len(vrow)
+        var[at:at + len(sigmas), :m] = entry.vars
+        val[at:at + len(sigmas), :m] = np.array(sigmas).reshape(len(sigmas), m)
+        vrow.extend(aug_rows[i].get(s, -1) for s in sigmas)
+    hot = _onehot(np.where(var < 0, -1, var * d + val), max(1, -(-n * d // 64)))
+    mask = _onehot(var, max(1, -(-n // 64)))
+    return hot, mask, np.array(vrow, dtype=np.int64)
+
+
+def _pair_keys(hot, mask):
+    """The compatible pairs (a, b), a <= b, of virtual rows in row-major
+    order, and the one-hot key of each pair's combined assignment."""
+    nv = len(hot)
+    step = max(1, _GRID_PAIRS // nv)
+    firsts, seconds, keys = [], [], []
+    for a0 in range(0, nv, step):
+        # rows a0 .. a0 + step - 1 against columns a0 .. nv - 1
+        union = hot[a0:a0 + step, None] | hot[None, a0:]
+        ok = (np.bitwise_count(union).sum(axis=2, dtype=np.uint16)
+              == np.bitwise_count(mask[a0:a0 + step, None]
+                                  | mask[None, a0:]).sum(axis=2, dtype=np.uint16))
+        ok &= np.arange(nv - a0) >= np.arange(len(ok))[:, None]
+        at = np.flatnonzero(ok)
+        first, second = np.divmod(at, nv - a0)
+        firsts.append(first + a0)
+        seconds.append(second + a0)
+        keys.append(union.reshape(-1, union.shape[2]).take(at, axis=0))
+    return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(keys)
 
 
 def solve_sdp(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import vcsprelax.cli as cli
 import vcsprelax.simplex as simplex
 from vcsprelax.cli import main
 from vcsprelax.fileformat import parse_instance, parse_language
@@ -641,3 +642,39 @@ def test_relax_las_prints_rho_schedule(capsys, demo, tmp_path):
     )
     assert rc == 0
     assert "rho schedule = 0:1.0" in out
+
+
+def test_parser_is_built_once_and_calls_stay_apart(capsys, demo):
+    calls = [
+        ["relax", "--language", demo["lang"], "--instance", demo["inst"],
+         "--level", "3", "--subsets", "scopes", "--seed", "5"],
+        ["relax", "--language", demo["lang"], "--instance", demo["inst"]],
+        ["analyze", "--language", demo["lang"]],
+        ["relax", "--language", demo["lang"], "--level", "x"],
+    ]
+
+    def run_all(fresh):
+        outs = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                rc = e.code
+            captured = capsys.readouterr()
+            outs.append((rc, captured.out, captured.err))
+        return outs
+
+    cached = run_all(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 2]
+    first, second, analyze = (out.splitlines() for _, out, _ in cached[:3])
+    assert "config level = 3" in first
+    assert "config level = 2" in second
+    assert "config subsets = full" in second
+    assert "config seed = 0" in second
+    assert "config level = 2" in analyze
+    assert not any(line.startswith("config instance") for line in analyze)
+    assert "invalid int value: 'x'" in cached[3][2]
+    assert cached == run_all(fresh=True)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import vcsprelax.lasserre as lasserre
 from vcsprelax.equations import linear_satisfiable, make_group, random_kxor, tseitin
@@ -21,7 +22,7 @@ from vcsprelax.lasserre import (
     verify_L7,
 )
 from vcsprelax.model import VCSPInstance, WeightedRelation, brute_force_opt
-from vcsprelax.sherali_adams import lp_opt
+from vcsprelax.sherali_adams import augment_instance, lp_opt
 from vcsprelax.values import INF, ZERO, ExtValue
 
 
@@ -421,3 +422,167 @@ def test_inconsistent_tie_systems_stay_inconsistent():
         res = solve_sdp(model)
         assert res.stop == "tie-system"
         assert res.rho_schedule == [(0, 1.0)]
+
+
+def _reference_build(instance, level, subset_mode="full"):
+    """The Gram model's arrays by the plain double loop over pairs of
+    virtual rows: assignments coded in base d+1 (digit 0 for a free
+    variable), classes numbered by first pair in row-major order, tie
+    rows and objective through a dict from code to class."""
+    d, n = instance.domain_size, instance.num_vars
+    aug, designated = augment_instance(instance, level, subset_mode)
+    rows, row_of, obj_rows, obj_costs = [None], {}, [], []
+    for i, entry in enumerate(aug):
+        for sigma, cost in entry.assignments(d):
+            row_of[(i, sigma)] = len(rows)
+            rows.append((i, sigma))
+            if cost:
+                obj_rows.append(len(rows) - 1)
+                obj_costs.append(float(cost))
+    powers = [(d + 1) ** t for t in range(n)]
+
+    def code(vars_, sigma):
+        return sum((s + 1) * powers[v] for v, s in zip(vars_, sigma))
+
+    virt = [({}, 0)]  # (variable -> value, Gram row or None)
+    for i, entry in enumerate(aug):
+        for sigma in itertools.product(range(d), repeat=len(entry.vars)):
+            virt.append((dict(zip(entry.vars, sigma)), row_of.get((i, sigma))))
+    class_of, sizes, pinned, entries = {}, [], set(), []
+    for ai, (va, ra) in enumerate(virt):
+        for vb, rb in virt[ai:]:
+            if any(vb.get(v, s) != s for v, s in va.items()):
+                continue
+            joint = {**va, **vb}
+            cid = class_of.setdefault(code(joint, joint.values()), len(sizes))
+            if cid == len(sizes):
+                sizes.append(len(joint))
+            if ra is None or rb is None:
+                pinned.add(cid)
+            else:
+                entries.append((ra, rb, cid))
+    new_id, kept_sizes = {}, []
+    for cid, size in enumerate(sizes):
+        if cid not in pinned:
+            new_id[cid] = len(kept_sizes)
+            kept_sizes.append(size)
+
+    def class_id(c):
+        return new_id.get(class_of.get(c))
+
+    live = [(r, c, new_id[k]) for r, c, k in entries if k in new_id]
+    live += [(c, r, k) for r, c, k in live if r != c]
+    pos_r, pos_c, cls = (np.array([e[j] for e in live], dtype=np.int64)
+                         for j in range(3))
+    filled = np.zeros((len(rows), len(rows)), dtype=bool)
+    filled[pos_r, pos_c] = True
+    data, rix, cix, rhs = [1.0], [0], [0], [1.0]
+    for X in sorted(designated, key=lambda t: (len(t), t)):
+        for v in X:
+            rest = tuple(u for u in X if u != v)
+            for sigma in itertools.product(range(d), repeat=len(rest)):
+                terms = [(class_id(code(rest, sigma) + (val + 1) * powers[v]), 1.0)
+                         for val in range(d)]
+                terms.append((class_id(code(rest, sigma)), -1.0))
+                terms = [t for t in terms if t[0] is not None]
+                if terms:
+                    for cid, coef in terms:
+                        data.append(coef)
+                        rix.append(len(rhs))
+                        cix.append(cid)
+                    rhs.append(0.0)
+    b = np.zeros(len(kept_sizes))
+    for ridx, cost in zip(obj_rows, obj_costs):
+        i, sigma = rows[ridx]
+        cid = class_id(code(aug[i].vars, sigma))
+        if cid is not None:
+            b[cid] += cost
+    return {
+        "pos_r": pos_r, "pos_c": pos_c, "cls": cls, "filled": filled,
+        "A": scipy.sparse.csr_matrix((data, (rix, cix)),
+                                     shape=(len(rhs), len(kept_sizes))),
+        "a": np.array(rhs), "b": b,
+        "y0": np.array([float(d) ** -s for s in kept_sizes]),
+        "obj_rows": np.array(obj_rows, dtype=np.int64),
+        "obj_costs": np.array(obj_costs), "pinned": len(pinned),
+    }
+
+
+def _assert_same_model(model, ref):
+    assert model.num_classes == len(ref["y0"])
+    for name in ("pos_r", "pos_c", "cls", "filled", "a", "b", "y0",
+                 "obj_rows", "obj_costs"):
+        got, want = getattr(model, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert model.A.shape == ref["A"].shape
+    for part in ("indices", "indptr", "data"):
+        got, want = getattr(model.A, part), getattr(ref["A"], part)
+        assert got.dtype == want.dtype, part
+        assert got.tobytes() == want.tobytes(), part
+
+
+def _builder_cases():
+    z2 = make_group("Z2")
+    rng = random.Random(3)
+    valued3 = VCSPInstance(3, 3)
+    for j, scope in enumerate([(0, 1), (1, 2), (2,)]):
+        entries = {t: (None if rng.random() < 0.2 else
+                       Fraction(rng.randint(-3, 5), rng.choice([1, 2, 3])))
+                   for t in itertools.product(range(3), repeat=len(scope))}
+        valued3.add_constraint(rel(f"v{j}", len(scope), 3, entries), scope)
+    pinning = _random_instance(random.Random(4), 4, 2, 4)
+    # 22 variables of domain 3 need 66 key bits: variable 21 straddles
+    # the two words
+    wide = VCSPInstance(22, 3)
+    for j, scope in enumerate([(0, 21), (20, 21), (5, 20)]):
+        entries = {t: (None if (j + sum(t)) % 4 == 0 else Fraction(t[0] - t[1]))
+                   for t in itertools.product(range(3), repeat=2)}
+        wide.add_constraint(rel(f"w{j}", 2, 3, entries), scope)
+    return [
+        (_k4_tseitin(), 3, "full", False),
+        (random_kxor(6, 9, z2, seed=2480531333), 3, "full", False),
+        (random_kxor(7, 10, z2, seed=0), 3, "full", False),
+        (valued3, 2, "full", False),
+        (valued3, 2, "scopes", False),
+        (random_kxor(6, 4, z2, seed=5), 2, "scopes", True),
+        (pinning, 2, "full", False),
+        (VCSPInstance(3, 2), 2, "full", False),
+        (wide, 2, "scopes", False),
+    ]
+
+
+def test_builder_matches_reference_loop(monkeypatch):
+    # every array bitwise equal to the double loop's, dtypes included;
+    # a small grid block forces many blocks on the tie probe
+    for inst, k, mode, low in _builder_cases():
+        ref = _reference_build(inst, k, mode)
+        _assert_same_model(build_las(inst, k, mode, allow_low_level=low), ref)
+    monkeypatch.setattr(lasserre, "_GRID_PAIRS", 1000)
+    z2 = make_group("Z2")
+    probe = random_kxor(7, 10, z2, seed=0)
+    _assert_same_model(build_las(probe, 3), _reference_build(probe, 3))
+
+
+def test_builder_cases_cover_their_shapes():
+    # the cases reach what they are named for: two key words, pinned
+    # classes, a level below the widest scope, no constraints at all
+    cases = _builder_cases()
+    wide = cases[-1][0]
+    assert wide.num_vars * wide.domain_size > 64
+    assert _reference_build(cases[6][0], 2)["pinned"] > 0
+    assert max(len(c.scope) for c in cases[5][0].constraints) > cases[5][1]
+    assert not cases[7][0].constraints
+    assert build_las(cases[7][0], 2).num_classes > 1
+
+
+def test_cap_fires_before_the_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("pair grid built")
+    monkeypatch.setattr(lasserre, "_virtual_rows", no_grid)
+    monkeypatch.setattr(lasserre, "_pair_keys", no_grid)
+    inst = _k4_tseitin()
+    with pytest.raises(CapExceeded):
+        build_las(inst, 3, row_cap=216)
+    with pytest.raises(AssertionError, match="pair grid built"):
+        build_las(inst, 3, row_cap=217)
