@@ -356,9 +356,10 @@ def build_las(
     first, second, keys = _pair_keys(hot, mask)
 
     # classes are the runs of equal keys after a stable sort, so a run
-    # starts at its first pair; the sort goes by the key bytes that can
-    # be nonzero, first byte first (radix sorts, and the byte order of
-    # memcmp, which the searches below use)
+    # starts at its first pair; the sort goes by the little-endian key
+    # bytes that can be nonzero, first byte first (radix sorts, and the
+    # byte order of memcmp, which the searches below use)
+    keys = keys.astype("<u8", copy=False)
     order = np.lexsort(keys.view(np.uint8)[:, :max(1, -(-n * d // 8))].T[::-1])
     keys = keys[order]
     head = np.ones(len(keys), dtype=bool)
@@ -394,8 +395,9 @@ def build_las(
 
     def class_of(q):
         """Class of each key row of q, -1 if absent or pinned."""
-        pos = np.searchsorted(class_keys.view(key_type).ravel(),
-                              np.ascontiguousarray(q).view(key_type).ravel())
+        pos = np.searchsorted(
+            class_keys.view(key_type).ravel(),
+            np.ascontiguousarray(q, "<u8").view(key_type).ravel())
         hit = pos < num_classes
         hit[hit] = (class_keys[pos[hit]] == q[hit]).all(axis=1)
         ids = np.full(len(q), -1, dtype=np.int64)
