@@ -44,6 +44,7 @@ from .lasserre import (
     ROW_CAP,
     NumericallyInfeasible,
     build_las,
+    judge_gap,
     solve_sdp,
 )
 from .model import ConstraintLanguage, brute_force_opt
@@ -178,6 +179,9 @@ def cmd_relax(args) -> list:
     lines.append(f"row cap = {ROW_CAP}")
     model = build_las(inst, args.level, args.subsets)
     sol = solve_sdp(model, eps=args.eps, max_iter=args.max_iter)
+    lines.append(f"gram dimension = {model.num_rows}")
+    lines.append("face dimension = "
+                 + ("none" if sol.face_dim is None else str(sol.face_dim)))
     if isinstance(sol, NumericallyInfeasible):
         lines.append("sdp_opt = inf")
         lines.append("status = infeasible")
@@ -202,12 +206,12 @@ def cmd_relax(args) -> list:
         lines.append(f"residual {key} = {sol.residuals[key]!r}")
     if vcsp is None:
         lines.append("gap = unknown")
-    elif not vcsp.is_finite:
-        lines.append("gap = GAP")
     else:
-        # float-side comparison, tagged by the solver tolerance
-        gap = sol.objective < float(vcsp.frac) - 10 * args.eps
-        lines.append(f"gap = {'GAP' if gap else 'NO GAP'}")
+        verdict, _, _ = judge_gap(
+            sol, model, float(vcsp.frac) if vcsp.is_finite else float("inf"))
+        lines.append("gap = " + {
+            "gap": "GAP", "no-gap": "NO GAP",
+            "inconclusive": "inconclusive (re-verification failed)"}[verdict])
     if args.out_dir:
         dump = []
         n = sol.M.shape[0]

@@ -26,8 +26,8 @@ from .lasserre import (
     ROW_CAP,
     NumericallyInfeasible,
     build_las,
+    judge_gap,
     solve_sdp,
-    verify_L7,
 )
 from .model import INF, ZERO, VCSPInstance, WeightedRelation, is_satisfiable
 
@@ -362,6 +362,7 @@ def _probe_instance(instance, group, level, meta, eps, max_iter, row_cap):
                          diagnostics)
     diagnostics["stop"] = sol.stop
     diagnostics["checks"] = sol.checks
+    diagnostics["face_dim"] = sol.face_dim
     if isinstance(sol, NumericallyInfeasible):
         diagnostics["note"] = "relaxation infeasible"
         diagnostics["iterations"] = sol.iterations
@@ -371,13 +372,11 @@ def _probe_instance(instance, group, level, meta, eps, max_iter, row_cap):
 
     # candidate gap: recompute the residuals from the matrix and replay
     # the extra-identity audit before believing the solver
-    fresh = model.residual_report(sol.M)
-    feasible = sol.within_tolerance(fresh)
-    l7 = verify_L7(sol, model, eps=10 * sol.eps)
+    verdict, fresh, l7 = judge_gap(sol, model, math.inf)
     diagnostics["iterations"] = sol.iterations
     diagnostics.update((f"residual_{k}", v) for k, v in fresh.items())
     diagnostics["l7_ok"] = l7.ok
-    if feasible and l7.ok:
+    if verdict == "gap":
         return GapReport(instance, level, INF, sol.objective, "gap",
                          diagnostics)
     diagnostics["note"] = "re-verification failed"

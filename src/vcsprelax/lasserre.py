@@ -9,13 +9,35 @@ share a value), zeros for incompatible or infeasible pairs, unit mass
 per block, and positive semidefiniteness; the objective is linear in
 the diagonal.
 
+Face lemma.  Every feasible Gram matrix lies in the face
+{Q X Q^T : X PSD} of the PSD cone, where Q (N x D, orthonormal columns)
+spans the Möbius basis of the partial assignments with nonzero values
+(Laurent, Math. Oper. Res. 2003).  For a vector n with n^T M(y) n = 0
+on every tie-feasible y, a PSD M(y) has M(y) n = 0.  Such n are the
+unit mass of a block (sum_sigma e_(S,sigma) - e_0), each
+marginalization identity, two blocks with one scope set, and the unit
+vector of a row with a pinned diagonal.  The Möbius matrix C
+(`_mobius`) expands each row's indicator by
+1[x_v = 0] = 1 - sum_{b != 0} 1[x_v = b] into those assignments;
+rows of blocks wider than the level get columns of their own.  Every
+such n has n^T C K = 0, where K spans the assignments whose expansion
+vanishes (infeasible ones, pinned diagonals).  Reducing an arbitrary
+vector modulo these n, by the same expansion, shows that they span
+the whole null space of (C K)^T.  So span(Q) = span(C K) is exactly
+the complement of the n, and the face holds every feasible M(y)
+(Permenter and Parrilo, "Partial facial reduction", Math. Prog.
+2018).  Typically D << N: 26 against 217 for Tseitin on K4.
+
 Solving is numerical.  An operator-splitting scheme alternates an exact
 projection onto the affine part (through a cached factorization of the
-tie system) with an eigenvalue projection onto the semidefinite cone.
-The affine part includes the marginalization identities that every
-exactly feasible Gram matrix satisfies; enforcing them directly does
-not change the optimum but makes the returned matrices marginalize to
-machine precision instead of solver tolerance.
+tie system) with a projection onto the face's cone, a D x D eigenvalue
+problem: Z = Q P(Q^T V Q) Q^T, P keeping the positive part.  Since Q
+is orthonormal this is the Frobenius projection of V onto the face's
+cone.  The affine part includes the marginalization identities that
+every exactly feasible Gram matrix satisfies; enforcing them directly
+does not change the optimum but makes the returned matrices
+marginalize to machine precision instead of solver tolerance.  The
+returned matrix is judged on the whole cone (`residual_report`).
 
 An infeasible answer carries evidence: an inconsistent tie system, or
 a checked certificate.  The relaxation asks for class values y with
@@ -24,13 +46,15 @@ M[0,p] and M[p,p] share a class and M[0,0] = 1, so the 2x2 minor gives
 0 <= M[p,p] <= 1, and every other entry is bounded by its two
 diagonals.  For any symmetric S, vector t and tie multipliers mu, let
 g be the class sums of S plus t and r = g - A^T mu, so that
-<S, M(y)> + t.y = g.y = mu.a + r.y whenever A y = a.  Since
-<S, M(y)> >= lambda_min(S) tr M(y) and tr M(y) <= N, a feasible y gives
+<S, M(y)> + t.y = g.y = mu.a + r.y whenever A y = a.  By the face
+lemma a feasible M(y) = Q X Q^T with X PSD, and tr X = tr M(y) since
+Q^T Q = I, so <S, M(y)> = <Q^T S Q, X> >= lambda tr M(y) with
+lambda = lambda_min(Q^T S Q).  As tr M(y) <= N, a feasible y gives
 
-    0 <= <S, M(y)> + N max(0, -lambda_min(S))
-       = mu.a + r.y - t.y + N max(0, -lambda_min(S))
+    0 <= <S, M(y)> + N max(0, -lambda)
+       = mu.a + r.y - t.y + N max(0, -lambda)
       <= mu.a + sum(max(r, 0)) + sum(max(-t, 0))
-         + N max(0, -lambda_min(S)) = beta,
+         + N max(0, -lambda) = beta,
 
 so beta < 0 proves that no y exists (`certificate_bound`).  The
 splitting scheme's scaled duals supply S and t >= 0 (Banjac, Goulart,
@@ -52,7 +76,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import ArityError, CapExceeded, NonConvergence
+from .errors import ArityError, CapExceeded, InternalError, NonConvergence
 from .model import VCSPInstance
 from .sherali_adams import augment_instance
 from .values import INF
@@ -110,6 +134,7 @@ class LasModel:
         self.obj_rows = obj_rows
         self.obj_costs = obj_costs
         self._fact = None
+        self._face = None
 
     @property
     def num_rows(self) -> int:
@@ -164,6 +189,13 @@ class LasModel:
         if self._fact is None:
             self._fact = _factor_ties(self)
         return self._fact
+
+    def _face_basis(self):
+        """Orthonormal N x D basis Q of the face that holds every
+        feasible Gram matrix (module docstring), built once."""
+        if self._face is None:
+            self._face = _face(*_mobius(self))
+        return self._face
 
 
 class _TieFactorization:
@@ -223,6 +255,99 @@ def _factor_ties(model: LasModel) -> _TieFactorization:
     return fact
 
 
+def _mobius(model: LasModel):
+    """The Möbius matrix C (N x L) and its relation rows R (over the
+    same L columns), both dense.
+
+    The first columns are the live partial assignments rho with nonzero
+    values on a designated scope set, the unit row's empty one first:
+    those whose own Gram row, in the designated block, has an unpinned
+    diagonal.  Row (i, sigma) of a block with at most `level` variables
+    expands every 1[x_v = 0] of sigma as 1 - sum_{b != 0} 1[x_v = b];
+    its entry on rho = sigma's nonzero part plus (T', b) is
+    (-1)^|T'|.  Each other row gets a column of its own, shared by the
+    rows with its diagonal class (blocks with one scope set) and absent
+    where that class is pinned.  R holds the same expansion of every
+    infeasible assignment of a block with at most `level` variables and
+    of every such Gram row with a pinned diagonal: each must vanish on
+    a feasible Gram matrix.  Terms on columns that are not live are
+    dropped, since those assignments vanish too.
+    """
+    d, level, N = model.instance.domain_size, model.level, model.num_rows
+    for X in model.designated:
+        if len(X) > 1 and any(X[:j] + X[j + 1:] not in model.designated
+                              for j in range(len(X))):
+            raise InternalError(
+                f"designated scope set {X} lacks a designated subset")
+    on_diag = model.pos_r == model.pos_c
+    diag_cls = np.full(N, -1, dtype=np.int64)
+    diag_cls[model.pos_r[on_diag]] = model.cls[on_diag]
+    var, val, block, vrow = _virtual_assignments(model.aug, model.aug_rows, d)
+    size = (var >= 0).sum(axis=1)
+    live = vrow >= 0
+    live[live] = diag_cls[vrow[live]] >= 0
+    words = max(1, -(-model.instance.num_vars * d // 64))
+    key_type = np.dtype(f"V{8 * words}")
+
+    def keys(bits):
+        return np.ascontiguousarray(_onehot(bits, words)).view(
+            key_type).ravel()
+
+    own = np.zeros(len(model.aug) + 1, dtype=bool)  # block -1: the unit row
+    own[list(model.designated.values())] = True
+    own[-1] = True
+    col_rows = np.flatnonzero(
+        own[block] & live & ((val > 0) | (var < 0)).all(axis=1))
+    col_keys = keys(np.where(var < 0, -1, var * d + val)[col_rows])
+    order = np.argsort(col_keys)
+    col_keys = col_keys[order]
+
+    # one term per value of the free (zero-valued) variables, 0 leaving
+    # the variable out; the sign counts the ones put in
+    narrow = size <= level
+    relation = narrow & ~live
+    items = np.flatnonzero(narrow & ((vrow >= 0) | relation))
+    width = min(level, var.shape[1])
+    choice = np.array(list(itertools.product(range(d), repeat=width)),
+                      dtype=np.int64).reshape(d ** width, width)
+    v, s = var[items, None, :width], val[items, None, :width]
+    free = (s == 0) & (v >= 0)
+    at, term = np.nonzero((free | (choice == 0)).all(axis=2))
+    full = np.where(free, choice, s)[at, term]
+    pos = _find(col_keys, keys(np.where(full > 0, v[at, 0] * d + full, -1)))
+    hit = pos >= 0
+    at, term = at[hit], term[hit]
+    flips = (free[at, 0] & (choice[term] > 0)).sum(axis=1)
+    sign = 1.0 - 2.0 * (flips % 2)
+    item, col = items[at], order[pos[hit]]
+
+    wide = vrow[~narrow & live]
+    wide_cls, wide_col = np.unique(diag_cls[wide], return_inverse=True)
+    C = np.zeros((N, len(col_rows) + len(wide_cls)))
+    in_c = vrow[item] >= 0
+    C[vrow[item[in_c]], col[in_c]] = sign[in_c]
+    C[wide, len(col_rows) + wide_col] = 1.0
+    in_r = relation[item]
+    R = np.zeros((int(relation.sum()), C.shape[1]))
+    R[(np.cumsum(relation) - 1)[item[in_r]], col[in_r]] = sign[in_r]
+    return C, R
+
+
+def _face(C, R):
+    """Orthonormal basis Q of span(C K), K a basis of the null space of
+    R.  Only the columns that R touches are mixed: their null space
+    comes from an SVD of R on those columns, and the Cholesky factor of
+    (C K)^T (C K) orthonormalizes, so no factorization sees a matrix
+    with N rows."""
+    touched = R.any(axis=0)
+    B = C[:, ~touched]
+    if touched.any():
+        K = scipy.linalg.null_space(R[:, touched])
+        B = np.hstack([B, C[:, touched] @ K])
+    chol = np.linalg.cholesky(B.T @ B)
+    return scipy.linalg.solve_triangular(chol, B.T, lower=True).T
+
+
 class GramSolution:
     """A converged Gram matrix with objective and diagnostics.
 
@@ -236,7 +361,7 @@ class GramSolution:
     stop = "converged"
 
     def __init__(self, M, objective, iterations, eps, residuals, checks=0,
-                 model=None, rho_schedule=()):
+                 model=None, rho_schedule=(), face_dim=None):
         self.M = M
         self.objective = objective
         self.iterations = iterations
@@ -245,6 +370,7 @@ class GramSolution:
         self.checks = checks
         self.model = model
         self.rho_schedule = list(rho_schedule)
+        self.face_dim = face_dim
 
     def within_tolerance(self, residuals=None) -> bool:
         """The residual-acceptance rule: the unit, class-spread, zero-tie,
@@ -280,7 +406,7 @@ class NumericallyInfeasible:
     status = "infeasible"
 
     def __init__(self, iterations, displacement, eps, stop, bound, checks,
-                 rho_schedule):
+                 rho_schedule, face_dim):
         self.iterations = iterations
         self.displacement = displacement
         self.eps = eps
@@ -288,6 +414,7 @@ class NumericallyInfeasible:
         self.bound = bound
         self.checks = checks
         self.rho_schedule = list(rho_schedule)
+        self.face_dim = face_dim
 
     def __repr__(self):
         return (f"NumericallyInfeasible(stop={self.stop!r}, "
@@ -379,7 +506,8 @@ def build_las(
     pair_id = np.empty(len(order), dtype=np.int64)
     pair_id[order] = run_id[run]
     live = pair_id >= 0
-    R, Cc, K = first[live], second[live], pair_id[live]
+    # int32 halves the three largest arrays; flat indices are int64
+    R, Cc, K = (x[live].astype(np.int32) for x in (first, second, pair_id))
     off = R != Cc
     pos_r = np.concatenate([R, Cc[off]])
     pos_c = np.concatenate([Cc, R[off]])
@@ -395,14 +523,9 @@ def build_las(
 
     def class_of(q):
         """Class of each key row of q, -1 if absent or pinned."""
-        pos = np.searchsorted(
-            class_keys.view(key_type).ravel(),
-            np.ascontiguousarray(q, "<u8").view(key_type).ravel())
-        hit = pos < num_classes
-        hit[hit] = (class_keys[pos[hit]] == q[hit]).all(axis=1)
-        ids = np.full(len(q), -1, dtype=np.int64)
-        ids[hit] = class_ids[pos[hit]]
-        return ids
+        pos = _find(class_keys.view(key_type).ravel(),
+                    np.ascontiguousarray(q, "<u8").view(key_type).ravel())
+        return np.where(pos >= 0, class_ids[pos], -1)
 
     # tie rows: unit mass at the top, then one marginalization row per
     # designated scope set, eliminated variable and outer assignment,
@@ -455,11 +578,22 @@ def _onehot(bits, words):
     return keys[:, :words]
 
 
-def _virtual_rows(aug, aug_rows, n, d):
-    """One-hot keys and variable masks of the virtual rows, the unit row
-    and then every assignment of every block in product order, with
-    their Gram rows (-1 for an infeasible assignment)."""
-    nv = 1 + sum(d ** len(e.vars) for e in aug)
+def _find(table, q):
+    """Position of each key of q in the sorted key array table (both
+    void views of one-hot keys), -1 where absent."""
+    pos = np.searchsorted(table, q)
+    hit = pos < len(table)
+    hit[hit] = table[pos[hit]] == q[hit]
+    return np.where(hit, pos, -1)
+
+
+def _virtual_assignments(aug, aug_rows, d):
+    """The virtual rows, the unit row and then every assignment of every
+    block in product order: their variables (left-aligned, -1 padded),
+    values, blocks (-1 for the unit row) and Gram rows (-1 for an
+    infeasible assignment)."""
+    sizes = [d ** len(e.vars) for e in aug]
+    nv = 1 + sum(sizes)
     var = np.full((nv, max((len(e.vars) for e in aug), default=0)), -1)
     val = np.zeros_like(var)
     vrow = [0]
@@ -470,9 +604,17 @@ def _virtual_rows(aug, aug_rows, n, d):
         var[at:at + len(sigmas), :m] = entry.vars
         val[at:at + len(sigmas), :m] = np.array(sigmas).reshape(len(sigmas), m)
         vrow.extend(aug_rows[i].get(s, -1) for s in sigmas)
+    block = np.repeat(np.arange(-1, len(aug)), [1] + sizes)
+    return var, val, block, np.array(vrow, dtype=np.int64)
+
+
+def _virtual_rows(aug, aug_rows, n, d):
+    """One-hot keys and variable masks of the virtual rows
+    (`_virtual_assignments`), with their Gram rows."""
+    var, val, _, vrow = _virtual_assignments(aug, aug_rows, d)
     hot = _onehot(np.where(var < 0, -1, var * d + val), max(1, -(-n * d // 64)))
     mask = _onehot(var, max(1, -(-n // 64)))
-    return hot, mask, np.array(vrow, dtype=np.int64)
+    return hot, mask, vrow
 
 
 def _pair_keys(hot, mask):
@@ -507,10 +649,14 @@ def solve_sdp(
 
     Returns a GramSolution on convergence, or NumericallyInfeasible
     with evidence: an inconsistent tie system, or an infeasibility
-    certificate.  At iterations 4, 8, 16 and 32, then every 50, the
-    scaled duals give the candidate S = -U, t = -u (U is the NSD part of
-    M(y) + U before the update, u = min(y + u, 0)), mu is the weighted
-    least-squares fit of the class sums, and the run stops once
+    certificate.  Each iteration projects onto the face's cone through
+    one D x D eigendecomposition (module docstring); the face basis is
+    built on the first solve whose tie system is consistent, and both
+    results record D in `face_dim` (None for a tie-system stop).  At
+    iterations 4, 8, 16 and 32, then every 50, the scaled duals give
+    the candidate S = -U, t = -u (U is M(y) + U before the update less
+    its projection onto the face's cone, u = min(y + u, 0)), mu is the
+    weighted least-squares fit of the class sums, and the run stops once
     `certificate_bound` gives beta < -delta_inf * scale (see the module
     docstring for why beta < 0 rules out every feasible point).  Both
     results count the checks run in `checks`.  Raises NonConvergence
@@ -534,10 +680,11 @@ def _split(model, eps, max_iter, delta_inf, rho):
         return NumericallyInfeasible(
             iterations=0, displacement=float("inf"), eps=eps,
             stop="tie-system", bound=float("-inf"), checks=0,
-            rho_schedule=rho_schedule)
+            rho_schedule=rho_schedule, face_dim=None)
 
-    N = model.num_rows
-    flat = model.pos_r * N + model.pos_c
+    Q = model._face_basis()
+    N, face_dim = Q.shape
+    flat = model.pos_r.astype(np.int64) * N + model.pos_c
     cls = model.cls
     nc_w = np.bincount(cls, minlength=model.num_classes).astype(float)
     b = model.b
@@ -559,10 +706,12 @@ def _split(model, eps, max_iter, delta_inf, rho):
         y = fact.project(v)
         M_y.reshape(-1)[flat] = y[cls]
 
-        evals, evecs = np.linalg.eigh(M_y + U)
+        # projection onto the face's cone {Q X Q^T : X PSD}
+        evals, evecs = np.linalg.eigh(Q.T @ ((M_y + U) @ Q))
         take = evals > 0.0
         if take.any():
-            Zn = (evecs[:, take] * evals[take]) @ evecs[:, take].T
+            B = Q @ evecs[:, take]
+            Zn = (B * evals[take]) @ B.T
             Zn += Zn.T
             Zn *= 0.5
         else:
@@ -581,7 +730,8 @@ def _split(model, eps, max_iter, delta_inf, rho):
 
         if r <= eps and s <= eps:
             return _polish(model, fact, Z, it, eps, checks,
-                           {"primal": r, "dual": s, "rho": rho}, rho_schedule)
+                           {"primal": r, "dual": s, "rho": rho}, rho_schedule,
+                           face_dim)
         if it % _CHECK_EVERY == 0 or it in _EARLY_CHECKS:
             S, t = -U, -u
             mu = fact.multipliers(model.class_sums(S) + t)
@@ -591,7 +741,7 @@ def _split(model, eps, max_iter, delta_inf, rho):
                 return NumericallyInfeasible(
                     iterations=it, displacement=r, eps=eps,
                     stop="certificate", bound=beta / scale, checks=checks,
-                    rho_schedule=rho_schedule)
+                    rho_schedule=rho_schedule, face_dim=face_dim)
             if it >= _STALL_START and len(hist) == _STALL_WINDOW:
                 lo, hi = min(hist), max(hist)
                 if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
@@ -619,32 +769,37 @@ def certificate_bound(model: LasModel, S, t, mu):
     """Judge a candidate infeasibility certificate (S, t, mu).
 
     S is a symmetric N x N matrix, t one weight per class, mu one
-    multiplier per kept tie row.  Returns (beta, scale) with
+    multiplier per kept tie row.  With Q the model's face basis
+    (N x D, orthonormal) and lambda the eigenvalues of the D x D
+    matrix Q^T S Q, returns (beta, scale) with
 
         beta  = mu.a + sum(max(r, 0)) + sum(max(-t, 0))
-                + N max(0, -lambda_min(S)),
+                + N max(0, -lambda_min),
         r     = class_sums(S) + t - A^T mu,
-        scale = N max|lambda(S)| + sum|t|.
+        scale = N max|lambda| + sum|t|.
 
-    Every feasible y gives beta >= 0, whatever the candidate (module
-    docstring), so beta < 0 proves the relaxation infeasible.  scale
-    bounds |<S, M(y)> + t.y| over the box, so beta / scale is the
+    Every feasible y gives beta >= 0, whatever the candidate: its Gram
+    matrix lies in the face (module docstring), so only S restricted
+    to the face is judged.  beta < 0 proves the relaxation infeasible.
+    scale bounds |<S, M(y)> + t.y| over the box, so beta / scale is the
     margin of the proof in units of the terms it adds up; the solver
     asks for beta / scale < -delta_inf, far above the rounding error
     of these float sums (about N times machine epsilon).
     """
     fact = model._solver_data()
+    Q = model._face_basis()
     r = model.class_sums(S) + t - mu @ fact.A_red
-    evals = np.linalg.eigvalsh(S)
+    evals = np.linalg.eigvalsh(Q.T @ (S @ Q))
     N = model.num_rows
     beta = (float(mu @ fact.a_red) + float(np.maximum(r, 0.0).sum())
-            + float(np.maximum(-t, 0.0).sum()) + N * max(0.0, -float(evals[0])))
-    scale = N * float(np.abs(evals).max()) + float(np.abs(t).sum())
+            + float(np.maximum(-t, 0.0).sum())
+            + N * max(0.0, -float(evals.min(initial=0.0))))
+    scale = N * float(np.abs(evals).max(initial=0.0)) + float(np.abs(t).sum())
     return beta, scale
 
 
 def _polish(model, fact, Z, iterations, eps, checks, solver_stats,
-            rho_schedule):
+            rho_schedule, face_dim):
     # one exact affine projection of the converged iterate; ties and
     # marginalization then hold to rounding error, the cone to solver
     # tolerance
@@ -655,7 +810,8 @@ def _polish(model, fact, Z, iterations, eps, checks, solver_stats,
     residuals.update(model.residual_report(M))
     residuals["polish_gap"] = float(np.abs(M - Z).max())
     return GramSolution(M, model.value_of(M), iterations, eps, residuals,
-                        checks, model=model, rho_schedule=rho_schedule)
+                        checks, model=model, rho_schedule=rho_schedule,
+                        face_dim=face_dim)
 
 
 def sdp_opt(
@@ -736,3 +892,25 @@ def verify_L7(solution, model: LasModel, eps: float = 1e-6) -> L7Report:
                     max_res = res
                     worst = (i, j, sigma)
     return L7Report(max_res <= eps, max_res, checks, worst)
+
+
+def judge_gap(solution: GramSolution, model: LasModel, opt: float):
+    """The one acceptance rule for a Lasserre gap on a converged run.
+
+    opt is the instance's optimum as a float (inf when unsatisfiable).
+    The objective must lie below it by more than its tolerance,
+    10 eps max(1, sum |c|) over the cost rows, since the acceptance
+    rule lets each diagonal entry sit 10 eps from a feasible one.  The
+    gap then stands only if the matrix passes a re-verification: fresh
+    residuals pass `within_tolerance`, and `verify_L7` passes at
+    10 eps.  Returns (verdict, fresh residuals, L7Report), the verdict
+    one of "gap", "no-gap" and "inconclusive"; the last two are None
+    for "no-gap", which runs no re-verification.
+    """
+    tol = 10 * solution.eps * max(1.0, float(np.abs(model.obj_costs).sum()))
+    if not solution.objective < opt - tol:
+        return "no-gap", None, None
+    fresh = model.residual_report(solution.M)
+    l7 = verify_L7(solution, model, eps=10 * solution.eps)
+    ok = solution.within_tolerance(fresh) and l7.ok
+    return ("gap" if ok else "inconclusive"), fresh, l7

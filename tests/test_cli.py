@@ -14,10 +14,12 @@ import pytest
 import scipy.linalg
 
 import vcsprelax.cli as cli
+import vcsprelax.lasserre as lasserre
 import vcsprelax.simplex as simplex
 from vcsprelax.cli import main
 from vcsprelax.fileformat import parse_instance, parse_language
 from vcsprelax.model import brute_force_opt
+from vcsprelax.values import ExtValue
 
 DEMO_LANG = """
 domain 2
@@ -164,6 +166,8 @@ def test_relax_las_report_and_dump(capsys, demo):
     assert rc == 0
     assert "row cap = 4000" in out
     assert "status = converged" in out
+    assert "gram dimension = 9" in out
+    assert "face dimension = 4" in out
     assert "gap = NO GAP" in out
     (sdp_line,) = [l for l in out if l.startswith("sdp_opt = ")]
     assert sdp_line.endswith("(float, eps = 1e-07)")
@@ -225,6 +229,8 @@ def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
     assert "stop = certificate" in out
     assert "iterations = 4" in out
     assert "certificate checks = 1" in out
+    assert "gram dimension = 13" in out
+    assert "face dimension = 1" in out
     (bound,) = [l for l in out if l.startswith("certificate bound = ")]
     assert float(bound.split(" = ")[1]) < -1e-5
     rc, out, _ = _run(
@@ -236,6 +242,30 @@ def test_relax_las_infeasible_reports_its_certificate(capsys, tmp_path):
     assert "stop = tie-system" in out
     assert "certificate bound = -inf" in out
     assert "certificate checks = 0" in out
+    assert "gram dimension = 9" in out
+    assert "face dimension = none" in out
+
+
+def test_relax_las_gap_needs_the_reverification(capsys, demo, monkeypatch):
+    # with the optimum read as 1, the demo's value 1/3 is a gap; it is
+    # printed only while fresh residuals of the matrix pass the same
+    # rule that gap_search applies
+    monkeypatch.setattr(cli, "brute_force_opt",
+                        lambda instance, cap=None: (ExtValue(1), None))
+    argv = ["relax", "--language", demo["lang"], "--instance", demo["inst"],
+            "--mode", "las", "--level", "2"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0 and "gap = GAP" in out
+    report = lasserre.LasModel.residual_report
+
+    def failing(model, M):
+        return dict(report(model, M), min_eig=-1.0)
+
+    monkeypatch.setattr(lasserre.LasModel, "residual_report", failing)
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert "status = converged" in out
+    assert "gap = inconclusive (re-verification failed)" in out
 
 
 def test_analyze_demo_language(capsys, demo):

@@ -258,8 +258,10 @@ def test_gap_search_inconclusive_on_budget():
     full = gap_search(z2, 3, [6], family="tseitin", count=1, seed=5)
     assert full[0].verdict == "no-gap"
     assert full[0].diagnostics["stop"] == "certificate"
-    assert full[0].diagnostics["iterations"] == 8
-    assert full[0].diagnostics["checks"] == 2
+    assert full[0].diagnostics["iterations"] == 4
+    assert full[0].diagnostics["checks"] == 1
+    assert full[0].diagnostics["face_dim"] == 26  # K4 at N = 217
+    assert "face_dim" not in reps[0].diagnostics
 
 
 def _content(instance):

@@ -9,8 +9,19 @@ import pytest
 import scipy.sparse
 
 import vcsprelax.lasserre as lasserre
-from vcsprelax.equations import linear_satisfiable, make_group, random_kxor, tseitin
-from vcsprelax.errors import ArityError, CapExceeded, NonConvergence
+from vcsprelax.equations import (
+    linear_satisfiable,
+    make_group,
+    random_kxor,
+    random_regular_graph,
+    tseitin,
+)
+from vcsprelax.errors import (
+    ArityError,
+    CapExceeded,
+    InternalError,
+    NonConvergence,
+)
 from vcsprelax.lasserre import (
     DEFAULT_DELTA_INF,
     GramSolution,
@@ -232,8 +243,8 @@ def _k4_tseitin():
 
 def test_refutation_probes_stop_at_first_check():
     # the Tseitin K4 system and an unsatisfiable 3-XOR with nine distinct
-    # variable sets, both at level 3: the check at iteration 8, the
-    # schedule's second, certifies them
+    # variable sets, both at level 3: the check at iteration 4, the
+    # schedule's first, certifies them
     z2 = make_group("Z2")
     probes = [(_k4_tseitin(), 217), (random_kxor(6, 9, z2, seed=2480531333), 197)]
     for inst, dim in probes:
@@ -243,8 +254,8 @@ def test_refutation_probes_stop_at_first_check():
         res = solve_sdp(model)
         assert isinstance(res, NumericallyInfeasible)
         assert res.stop == "certificate"
-        assert res.iterations == 8
-        assert res.checks == 2
+        assert res.iterations == 4
+        assert res.checks == 1
         assert res.bound < -DEFAULT_DELTA_INF
 
 
@@ -472,7 +483,7 @@ def _reference_build(instance, level, subset_mode="full"):
 
     live = [(r, c, new_id[k]) for r, c, k in entries if k in new_id]
     live += [(c, r, k) for r, c, k in live if r != c]
-    pos_r, pos_c, cls = (np.array([e[j] for e in live], dtype=np.int64)
+    pos_r, pos_c, cls = (np.array([e[j] for e in live], dtype=np.int32)
                          for j in range(3))
     filled = np.zeros((len(rows), len(rows)), dtype=bool)
     filled[pos_r, pos_c] = True
@@ -586,3 +597,138 @@ def test_cap_fires_before_the_grid(monkeypatch):
         build_las(inst, 3, row_cap=216)
     with pytest.raises(AssertionError, match="pair grid built"):
         build_las(inst, 3, row_cap=217)
+
+
+def _tie_null_vectors(model):
+    """Vectors n with n^T M n = 0 on every tie-feasible Gram matrix M,
+    so that M n = 0 once M is PSD, by plain loops: unit mass and
+    marginalization per block of at most `level` variables, same-scope
+    duplicates, and unit vectors of zero diagonals."""
+    N, d = model.num_rows, model.instance.domain_size
+    vecs = []
+
+    def vec(*terms):
+        v = np.zeros(N)
+        for r, c in terms:
+            v[r] += c
+        return v
+
+    for i, entry in enumerate(model.aug):
+        X, rows = entry.vars, model.aug_rows[i]
+        if len(X) <= model.level:
+            vecs.append(vec((0, -1.0), *((r, 1.0) for r in rows.values())))
+            for j in range(len(X)):
+                rest = X[:j] + X[j + 1:]
+                outer = (model.aug_rows[model.designated[rest]] if rest
+                         else {(): 0})
+                for tau in itertools.product(range(d), repeat=len(rest)):
+                    ext = (tau[:j] + (a,) + tau[j:] for a in range(d))
+                    terms = [(rows[s], 1.0) for s in ext if s in rows]
+                    if tau in outer:
+                        terms.append((outer[tau], -1.0))
+                    vecs.append(vec(*terms))
+        for h in range(i):
+            if model.aug[h].vars == X:
+                vecs.extend(vec((r, 1.0), (model.aug_rows[h][s], -1.0))
+                            for s, r in rows.items() if s in model.aug_rows[h])
+    vecs.extend(vec((p, 1.0)) for p in range(N) if not model.filled[p, p])
+    return np.array(vecs)
+
+
+def _face_models():
+    # the tie systems, the builder's cases (domain 3, scopes mode, a
+    # 3-XOR below its arity, pinned classes), and random valued
+    # instances on 3 variables at levels 1 to 4: blocks wider than the
+    # level, and a level above every block
+    models = _tie_systems()
+    models += [build_las(inst, k, mode, allow_low_level=low)
+               for inst, k, mode, low in _builder_cases()]
+    rng = random.Random(11)
+    for _ in range(10):
+        inst = _random_instance(rng, 3, 2, rng.randint(2, 4))
+        models += [build_las(inst, k, allow_low_level=True)
+                   for k in (1, 2, 3, 4)]
+    return models
+
+
+def _face_problems(model, Q):
+    """What keeps span(Q) from being the face: a tie-null vector that Q
+    does not annihilate, or a dimension other than N - rank."""
+    V = _tie_null_vectors(model)
+    out = []
+    leak = np.linalg.norm(V @ Q, axis=1).max(initial=0.0)
+    if leak > 1e-12:
+        out.append(f"leak {leak:.3g}")
+    want = model.num_rows - np.linalg.matrix_rank(V)
+    if Q.shape[1] != want:
+        out.append(f"dimension {Q.shape[1]} != {want}")
+    return out
+
+
+def test_face_is_the_null_space_of_the_tie_vectors():
+    models = _face_models()
+    for model in models:
+        Q = model._face_basis()
+        assert _face_problems(model, Q) == []
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) <= 1e-12
+    # the cases reach blocks wider than the level, wide blocks sharing a
+    # scope set, and pinned diagonals
+    wide = [m for m in models if any(len(e.vars) > m.level for e in m.aug)]
+    assert wide
+    assert any(len({e.vars for e in m.aug if len(e.vars) > m.level})
+               < sum(len(e.vars) > m.level for e in m.aug) for m in wide)
+    assert any(not m.filled.diagonal().all() for m in models)
+    # the refutation probes and the tie probe (above), and Tseitin n = 9
+    z2 = make_group("Z2")
+    tseitin9 = build_las(tseitin(random_regular_graph(6, 3, seed=1),
+                                 [1, 0, 0, 0, 0, 0], z2, r=3), 3)
+    assert _face_problems(tseitin9, tseitin9._face_basis()) == []
+    probes = [models[0], models[1], models[5], tseitin9]
+    assert [(m.num_rows, m._face_basis().shape[1]) for m in probes] == [
+        (217, 26), (197, 13), (347, 29), (811, 106)]
+
+
+def test_face_negative_controls():
+    # a dropped Moebius column gives a face too small to hold every
+    # feasible matrix; a flipped sign, one that leaks a tie-null vector
+    model = build_las(_k4_tseitin(), 3)
+    C, R = lasserre._mobius(model)
+    for col in (0, 1, C.shape[1] - 1):
+        keep = np.delete(np.arange(C.shape[1]), col)
+        Q = lasserre._face(C[:, keep], R[:, keep])
+        assert _face_problems(model, Q) == ["dimension 25 != 26"]
+    flipped = C.copy()
+    flipped[tuple(np.argwhere(C < 0)[0])] = 1.0
+    (problem,) = _face_problems(model, lasserre._face(flipped, R))
+    assert problem.startswith("leak")
+
+
+def test_converged_matrices_lie_on_the_face():
+    for inst, k in _feasible_runs():
+        model = build_las(inst, k, allow_low_level=True)
+        sol = solve_sdp(model)
+        Q = model._face_basis()
+        assert sol.face_dim == Q.shape[1] < model.num_rows
+        P = Q @ Q.T
+        assert np.abs(sol.M - P @ sol.M @ P).max() <= 10 * sol.eps
+
+
+def test_tie_system_stop_never_builds_the_face(monkeypatch):
+    def no_face(model):
+        raise AssertionError("face built")
+    monkeypatch.setattr(lasserre, "_mobius", no_face)
+    z2 = make_group("Z2")
+    for model in (build_las(_equality_cycle(), 3),
+                  build_las(random_kxor(7, 10, z2, seed=0), 3)):
+        res = solve_sdp(model)
+        assert res.stop == "tie-system" and res.face_dim is None
+        assert model._face is None
+    with pytest.raises(AssertionError, match="face built"):
+        solve_sdp(build_las(_equality_cycle(), 2))
+
+
+def test_mobius_needs_designated_subsets():
+    model = build_las(_k4_tseitin(), 3)
+    del model.designated[min(model.designated, key=len)]
+    with pytest.raises(InternalError, match="lacks a designated subset"):
+        lasserre._mobius(model)
