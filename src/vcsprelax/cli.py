@@ -50,7 +50,6 @@ from .lasserre import (
 from .model import ConstraintLanguage, brute_force_opt
 from .reductions import (
     Interpretation,
-    _language_arity,
     apply_interpretation,
     oracle_value_identity,
     reduce_equality,
@@ -58,6 +57,7 @@ from .reductions import (
     reduce_feas,
     reduce_opt,
     transport_solution,
+    transport_source_level,
     verify_reduction,
 )
 from .sherali_adams import COLUMN_CAP, build_sa, solve_lp_exact
@@ -359,15 +359,14 @@ def cmd_verify(args) -> list:
     lines.extend(report.as_lines())
     kprime = args.transport_level if args.transport_level is not None else 1
     try:
-        k = max(kprime, _language_arity(trace.produced)) \
-            * _language_arity(trace.source)
-        model = build_las(trace.source, 2 * k)
+        level = transport_source_level(trace, kprime)
+        model = build_las(trace.source, level)
         lam = solve_sdp(model, eps=args.eps, max_iter=args.max_iter)
         if isinstance(lam, NumericallyInfeasible):
             lines.append("transport = skipped (source relaxation infeasible)")
             return lines
         kap = transport_solution(trace, lam, kprime)
-        lines.append(f"transport source level = {2 * k}")
+        lines.append(f"transport source level = {level}")
         lines.append(f"transport produced level = {kprime}")
         lines.append(f"transport eps = {kap.eps!r}")
         for key in sorted(kap.residuals):

@@ -69,6 +69,7 @@ guarantees live in the LP module, not here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -94,6 +95,7 @@ _EARLY_CHECKS = (4, 8, 16, 32)  # all below _STALL_START
 _STALL_START = 800
 _STALL_WINDOW = 300
 _STALL_SPREAD = 0.05
+_RHO_START = 1.0
 _RHO_MIN = 1e-3
 _RHO_MAX = 1e3
 _GRID_PAIRS = 1 << 20  # pairs per block of the builder's pair grid
@@ -202,13 +204,15 @@ class _TieFactorization:
     """The rank-reduced tie system A_red y = a_red, with the Cholesky
     factor of A_red diag(1/weights) A_red^T.
 
-    The kept rows are held dense, so no call builds a sparse transpose
-    of A_red; the array is the same order of size as the dense QR
-    input that `_factor_ties` already forms.
+    The kept rows are held dense over the `touched` classes only, the
+    columns where some tie row is nonzero: rank x len(touched) floats,
+    no more than the dense QR input that `_factor_ties` forms.  Products
+    with A_red gather from and scatter to those classes.
     """
 
-    def __init__(self, A_red, a_red, weights, chol, inconsistent):
+    def __init__(self, A_red, touched, a_red, weights, chol, inconsistent):
         self.A_red = A_red
+        self.touched = touched
         self.a_red = a_red
         self.weights = weights
         self.chol = chol
@@ -224,13 +228,17 @@ class _TieFactorization:
 
     def project(self, v):
         """Projection of v onto {A y = a} in the diag(weights) metric."""
-        mu = self._solve(self.A_red @ v - self.a_red)
-        return v - (mu @ self.A_red) / self.weights
+        on = self.touched
+        mu = self._solve(self.A_red @ v[on] - self.a_red)
+        out = v.copy()
+        out[on] -= (mu @ self.A_red) / self.weights[on]
+        return out
 
     def multipliers(self, g):
         """Tie multipliers mu making A_red^T mu closest to g in the
         diag(1/weights) metric (weighted least squares)."""
-        return self._solve(self.A_red @ (g / self.weights))
+        on = self.touched
+        return self._solve(self.A_red @ (g[on] / self.weights[on]))
 
 
 def _factor_ties(model: LasModel) -> _TieFactorization:
@@ -247,7 +255,8 @@ def _factor_ties(model: LasModel) -> _TieFactorization:
     A_red = A[keep].tocsr()
     gram = (A_red @ scipy.sparse.diags(1.0 / weights) @ A_red.T).toarray()
     chol, _ = scipy.linalg.cho_factor(gram)
-    fact = _TieFactorization(A_red.toarray(), a[keep], weights, chol, False)
+    fact = _TieFactorization(A_red[:, touched].toarray(), touched, a[keep],
+                             weights, chol, False)
     # dropped rows must be consequences of the kept ones; if not, the
     # tie system has no solution and neither does the relaxation
     probe = fact.project(np.zeros(model.num_classes))
@@ -395,7 +404,7 @@ class NumericallyInfeasible:
     itself is inconsistent (decided before iterating), `certificate`
     when a candidate (S, t, mu) from the scaled duals passed
     `certificate_bound`.  `bound` is that candidate's beta divided by
-    its scale, below -delta_inf; it is -inf for the tie system, whose
+    its scale, below -DEFAULT_DELTA_INF; it is -inf for the tie system, whose
     certificate uses tie rows alone (S = 0, scale 0).  `displacement`
     is the distance between the two projection outputs at the stop
     (infinity for the tie system).  `checks` counts the certificate
@@ -422,6 +431,19 @@ class NumericallyInfeasible:
                 f"displacement={self.displacement:.3g})")
 
 
+def _memory_capped(fn):
+    """`fn` with a failed allocation reported as CapExceeded (exit 3):
+    numpy raises MemoryError for an array the host cannot hold."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except MemoryError as e:
+            raise CapExceeded(f"{fn.__name__}: allocation failed ({e})") from e
+    return run
+
+
+@_memory_capped
 def build_las(
     instance: VCSPInstance,
     level: int,
@@ -447,6 +469,7 @@ def build_las(
     pairs.  Classes are numbered by first pair; one with a pair on an
     infeasible assignment is pinned to zero and dropped.  Tie rows and
     the objective find classes by binary search on the sorted keys.
+    Raises CapExceeded past `row_cap` or when an allocation fails.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -638,12 +661,11 @@ def _pair_keys(hot, mask):
     return np.concatenate(firsts), np.concatenate(seconds), np.concatenate(keys)
 
 
+@_memory_capped
 def solve_sdp(
     model: LasModel,
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
-    delta_inf: float = DEFAULT_DELTA_INF,
-    rho: float = 1.0,
 ):
     """Run the splitting scheme on a built model.
 
@@ -657,24 +679,26 @@ def solve_sdp(
     the candidate S = -U, t = -u (U is M(y) + U before the update less
     its projection onto the face's cone, u = min(y + u, 0)), mu is the
     weighted least-squares fit of the class sums, and the run stops once
-    `certificate_bound` gives beta < -delta_inf * scale (see the module
+    `certificate_bound` gives beta < -DEFAULT_DELTA_INF * scale (see the module
     docstring for why beta < 0 rules out every feasible point).  Both
     results count the checks run in `checks`.  Raises NonConvergence
     when the primal residual, looked at every 50 iterations, stalls
-    above delta_inf without a certificate, after max_iter undecided
+    above DEFAULT_DELTA_INF without a certificate, after max_iter undecided
     iterations, when a factorization or eigendecomposition fails, or
-    when an iterate turns non-finite (the tie solve refuses it).
-    Results record the rho schedule in `rho_schedule`.  Deterministic
-    for fixed inputs.
+    when an iterate turns non-finite (the tie solve refuses it), and
+    CapExceeded when an allocation fails.  The penalty rho starts at _RHO_START and adapts within
+    [_RHO_MIN, _RHO_MAX]; results record its schedule in `rho_schedule`.
+    Deterministic for fixed inputs.
     """
     try:
-        return _split(model, eps, max_iter, delta_inf, rho)
+        return _split(model, eps, max_iter)
     except np.linalg.LinAlgError as e:
         raise NonConvergence(f"linear algebra failure: {e}") from e
 
 
-def _split(model, eps, max_iter, delta_inf, rho):
+def _split(model, eps, max_iter):
     fact = model._solver_data()
+    rho = _RHO_START
     rho_schedule = [(0, rho)]
     if fact.inconsistent:
         return NumericallyInfeasible(
@@ -737,14 +761,14 @@ def _split(model, eps, max_iter, delta_inf, rho):
             mu = fact.multipliers(model.class_sums(S) + t)
             beta, scale = certificate_bound(model, S, t, mu)
             checks += 1
-            if beta < -delta_inf * scale:
+            if beta < -DEFAULT_DELTA_INF * scale:
                 return NumericallyInfeasible(
                     iterations=it, displacement=r, eps=eps,
                     stop="certificate", bound=beta / scale, checks=checks,
                     rho_schedule=rho_schedule, face_dim=face_dim)
             if it >= _STALL_START and len(hist) == _STALL_WINDOW:
                 lo, hi = min(hist), max(hist)
-                if lo > delta_inf and hi - lo <= _STALL_SPREAD * hi:
+                if lo > DEFAULT_DELTA_INF and hi - lo <= _STALL_SPREAD * hi:
                     raise NonConvergence(
                         f"stalled without certificate at iteration {it} "
                         f"(displacement {lo:.2e}, bound {beta / scale:.2e})")
@@ -783,12 +807,13 @@ def certificate_bound(model: LasModel, S, t, mu):
     to the face is judged.  beta < 0 proves the relaxation infeasible.
     scale bounds |<S, M(y)> + t.y| over the box, so beta / scale is the
     margin of the proof in units of the terms it adds up; the solver
-    asks for beta / scale < -delta_inf, far above the rounding error
+    asks for beta / scale < -DEFAULT_DELTA_INF, far above the rounding error
     of these float sums (about N times machine epsilon).
     """
     fact = model._solver_data()
     Q = model._face_basis()
-    r = model.class_sums(S) + t - mu @ fact.A_red
+    r = model.class_sums(S) + t
+    r[fact.touched] -= mu @ fact.A_red
     evals = np.linalg.eigvalsh(Q.T @ (S @ Q))
     N = model.num_rows
     beta = (float(mu @ fact.a_red) + float(np.maximum(r, 0.0).sum())

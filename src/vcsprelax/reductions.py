@@ -878,13 +878,20 @@ def _language_arity(instance: VCSPInstance) -> int:
     return max((c.relation.arity for c in instance.constraints), default=1)
 
 
+def transport_source_level(trace: ReductionTrace, kprime: int) -> int:
+    """The source relaxation level that transport to level kprime needs:
+    2 * max(kprime, produced arity) * source arity."""
+    return (2 * max(kprime, _language_arity(trace.produced))
+            * _language_arity(trace.source))
+
+
 def transport_solution(trace: ReductionTrace, lam: GramSolution, kprime: int,
                        choice: str = "min") -> GramSolution:
     """Carry a Gram solution of the source onto the produced instance.
 
     lam must be a solved relaxation of trace.source at level at least
-    2 * max(kprime, produced arity) * source arity, built with full
-    subset coverage.  Each produced-side moment is a sum of source-side
+    `transport_source_level(trace, kprime)`, built with full subset
+    coverage.  Each produced-side moment is a sum of source-side
     diagonal entries: the sum runs over the assignments of one covering
     source block whose mapped image matches the produced assignment.
     Any covering block gives the same sums up to solver tolerance;
@@ -905,14 +912,12 @@ def transport_solution(trace: ReductionTrace, lam: GramSolution, kprime: int,
     if model_i.subset_mode != "full":
         raise VcspError("transport needs a full-subset source model")
 
-    source, produced = trace.source, trace.produced
-    ar_src = _language_arity(source)
-    ar_prod = _language_arity(produced)
-    k = max(kprime, ar_prod) * ar_src
-    if model_i.level < 2 * k:
+    produced = trace.produced
+    need = transport_source_level(trace, kprime)
+    if model_i.level < need:
         raise VcspError(
             f"level arithmetic: transport to level {kprime} needs a source "
-            f"relaxation of level {2 * k}, got {model_i.level}")
+            f"relaxation of level {need}, got {model_i.level}")
 
     pieces = trace.pieces
     cover = {}

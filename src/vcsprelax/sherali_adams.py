@@ -1,19 +1,26 @@
-"""Level-k Sherali-Adams linear programs over exact rationals.
+"""Level-k Sherali-Adams linear programs over exact rationals, in moment
+coordinates.
 
 The model follows the local-distribution picture: one block of lambda
 variables per constraint of an augmented instance (the original constraints
 plus one zero-valued null constraint per admissible scope-set not already
-carried by an original), with normalization and marginal-consistency rows.
-Each scope-set has a designated block: the first original constraint with
-that scope-set, or the null block added for it.  Infeasible assignments are
-eliminated at build time, so the nonnegativity and zero conditions are
-structural and the LP carries only normalization and marginals.
+carried by an original).  Each scope-set of at most k variables has a
+designated block: the first original constraint with that scope-set, or
+the null block added for it.
 
-Marginal consistency is materialized in an equivalent reduced form: small
-constraints are tied directly to the designated block of their scope-set,
-large constraints marginalize onto every size-k subset, and designated
-blocks chain down one element at a time.  `verify_sa` re-checks the full
-quantifier form on every pair, so the reduction is itself under test.
+The LP's columns are the moments y(U, alpha), the mass on x_U = alpha, for
+U empty or a designated scope-set and alpha a vector of nonzero values.
+The lambda of a block with at most k variables is the Moebius expansion
+P.y, which writes each 1[x_v = 0] of an assignment as
+1 - sum_{b != 0} 1[x_v = b].  Unit mass and marginal consistency between
+such blocks then hold by construction (Sherali-Adams, SIAM J. Discrete
+Math. 1990; Laurent, Math. Oper. Res. 2003).  The LP is min c.P.y with
+y(empty) = 1 and one row per (block, assignment): P.y >= 0 on a feasible
+assignment, P.y = 0 on an infeasible one.  Blocks wider than k keep lambda
+columns of their own, one per feasible assignment, tied to each size-k
+subset by sum lambda = P.y.  `solve_lp_exact` returns lambda, and
+`verify_sa` re-checks the full quantifier form on it, whatever the
+coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 from .errors import CapExceeded, InternalError
 from .model import VCSPInstance
 from .simplex import ExactLP, certificate_problems, solve_lp
-from .values import INF, ZERO, ExtValue
+from .values import INF, ExtValue
 
 COLUMN_CAP = 10**6
 
@@ -69,19 +76,20 @@ class AugConstraint:
 
 
 class SaModel:
-    def __init__(self, instance, level, subset_mode, aug, designated, columns, col_of, lp):
+    def __init__(self, instance, level, subset_mode, aug, designated, moments,
+                 expansion, lp):
         self.instance = instance
         self.level = level
         self.subset_mode = subset_mode
         self.aug = aug                  # originals first, then null blocks
         self.designated = designated    # sorted var tuple -> aug index
-        self.columns = columns          # list of (aug index, assignment)
-        self.col_of = col_of
+        self.moments = moments          # (U, alpha) of each moment column
+        self.expansion = expansion      # (aug index, feasible sigma) -> {column: coeff}
         self.lp = lp
 
     @property
     def num_columns(self) -> int:
-        return len(self.columns)
+        return self.lp.num_vars
 
     @property
     def num_rows(self) -> int:
@@ -157,6 +165,21 @@ def augment_instance(instance: VCSPInstance, level: int, subset_mode: str):
     return aug, designated
 
 
+def _expansion(U, d, column):
+    """P over the moment columns for every sigma in D^U.  Its terms are
+    the tau that agree with sigma where sigma is nonzero, a 0 of tau
+    leaving its variable out; the sign counts the zeros of sigma that tau
+    fills in."""
+    col, nnz = {}, {}
+    for tau in itertools.product(range(d), repeat=len(U)):
+        on = [t for t, a in enumerate(tau) if a]
+        col[tau] = column[(tuple(U[t] for t in on), tuple(tau[t] for t in on))]
+        nnz[tau] = len(on)
+    return {sigma: {col[tau]: (-1) ** (nnz[tau] - nnz[sigma])
+                    for tau in itertools.product(*[(s,) if s else range(d) for s in sigma])}
+            for sigma in col}
+
+
 def build_sa(
     instance: VCSPInstance,
     level: int,
@@ -170,84 +193,55 @@ def build_sa(
     null_cols = sum(d ** len(e.vars) for e in aug if e.is_null)
     if null_cols > column_cap:
         raise CapExceeded(f"{null_cols} null columns exceed cap {column_cap}")
+    for X in designated:
+        if len(X) > 1 and any(X[:j] + X[j + 1:] not in designated
+                              for j in range(len(X))):
+            raise InternalError(f"designated scope set {X} lacks a designated subset")
 
-    columns = []
-    col_of = {}
+    nonzero = range(1, d)
+    moments = [((), ())]
+    for U in sorted(designated, key=lambda X: (len(X), X)):
+        moments += [(U, alpha) for alpha in itertools.product(nonzero, repeat=len(U))]
+    column = {m: c for c, m in enumerate(moments)}
+    P = {U: _expansion(U, d, column) for U in designated}
+    costs = [dict(e.assignments(d)) for e in aug]
+    if sum(map(len, costs)) > column_cap:
+        raise CapExceeded(f"column count exceeds cap {column_cap}")
+    n = len(moments)
+    lp = ExactLP(n + sum(len(costs[i]) for i, e in enumerate(aug) if len(e.vars) > level))
+    lp.add_eq({0: 1}, 1)
+    expansion = {}
     objective = {}
     for i, entry in enumerate(aug):
-        for sigma, cost in entry.assignments(d):
-            col_of[(i, sigma)] = len(columns)
-            columns.append((i, sigma))
-            if cost:
-                objective[col_of[(i, sigma)]] = cost
-        if len(columns) > column_cap:
-            raise CapExceeded(f"column count exceeds cap {column_cap}")
-
-    lp = ExactLP(len(columns))
-    lp.set_objective(objective)
-
-    # normalization: each block's mass is 1
-    for i, entry in enumerate(aug):
-        row = {
-            col_of[(i, sigma)]: Fraction(1)
-            for sigma, _ in entry.assignments(d)
-        }
-        lp.add_eq(row, 1)
-
-    one = Fraction(1)
-    for i, entry in enumerate(aug):
-        if entry.is_null or not entry.vars:
-            continue
-        x_i = entry.vars
-        if len(x_i) <= level:
-            j = designated[x_i]
-            if j == i:
-                continue
-            for sigma in itertools.product(range(d), repeat=len(x_i)):
-                row = {}
-                if (i, sigma) in col_of:
-                    row[col_of[(i, sigma)]] = one
-                if (j, sigma) in col_of:
-                    row[col_of[(j, sigma)]] = row.get(col_of[(j, sigma)], Fraction(0)) - one
-                if row:
-                    lp.add_eq(row, 0)
-        else:
-            feas = entry.feasible_set(d)
-            pos = {v: t for t, v in enumerate(x_i)}
-            for sub in itertools.combinations(x_i, level):
-                j = designated[sub]
+        if len(entry.vars) > level:
+            own = []
+            for sigma, cost in costs[i].items():
+                expansion[(i, sigma)] = {n: 1}
+                own.append((sigma, n))
+                if cost:
+                    objective[n] = cost
+                n += 1
+            pos = {v: t for t, v in enumerate(entry.vars)}
+            for sub in itertools.combinations(entry.vars, level):
                 idx = [pos[v] for v in sub]
-                for tau in itertools.product(range(d), repeat=level):
-                    row = {}
-                    if (j, tau) in col_of:
-                        row[col_of[(j, tau)]] = -one
-                    for sigma in feas:
-                        if tuple(sigma[t] for t in idx) == tau:
-                            key = col_of[(i, sigma)]
-                            row[key] = row.get(key, Fraction(0)) + one
-                    if row:
-                        lp.add_eq(row, 0)
-
-    # designated chains: marginalizing out one variable lands on the
-    # designated block of the smaller scope-set
-    for x, i in designated.items():
-        if len(x) < 2:
+                ties = {tau: {c: -v for c, v in row.items()}
+                        for tau, row in P[sub].items()}
+                for sigma, c in own:
+                    ties[tuple(sigma[t] for t in idx)][c] = 1
+                for tie in ties.values():
+                    lp.add_eq(tie, 0)
             continue
-        for t, v in enumerate(x):
-            sub = x[:t] + x[t + 1:]
-            j = designated[sub]
-            for tau in itertools.product(range(d), repeat=len(sub)):
-                row = {}
-                if (j, tau) in col_of:
-                    row[col_of[(j, tau)]] = -one
-                for a in range(d):
-                    sigma = tau[:t] + (a,) + tau[t:]
-                    if (i, sigma) in col_of:
-                        row[col_of[(i, sigma)]] = one
-                if row:
-                    lp.add_eq(row, 0)
-
-    return SaModel(instance, level, subset_mode, aug, designated, columns, col_of, lp)
+        for sigma, row in P[entry.vars].items():
+            if sigma not in costs[i]:
+                lp.add_eq(row, 0)
+                continue
+            lp.add_le({c: -v for c, v in row.items()}, 0)
+            expansion[(i, sigma)] = row
+            cost = costs[i][sigma]
+            for c, v in row.items() if cost else ():
+                objective[c] = objective.get(c, 0) + v * cost
+    lp.set_objective(objective)
+    return SaModel(instance, level, subset_mode, aug, designated, moments, expansion, lp)
 
 
 def solve_lp_exact(model: SaModel) -> SaSolution:
@@ -256,9 +250,8 @@ def solve_lp_exact(model: SaModel) -> SaSolution:
         return SaSolution("infeasible", INF, {}, res.pivots, res.certificate, res.path)
     if res.status != "optimal":
         raise InternalError(f"exact simplex returned status {res.status!r}")
-    lam = {
-        key: res.x[col] for key, col in model.col_of.items()
-    }
+    lam = {key: sum((v * res.x[c] for c, v in row.items()), Fraction(0))
+           for key, row in model.expansion.items()}
     return SaSolution("optimal", ExtValue(res.value), lam, res.pivots,
                       res.certificate, res.path)
 
@@ -291,8 +284,8 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
     quantifier form: nonnegativity, zeros outside the feasible sets, unit
     mass per block, and marginal consistency for every pair of augmented
     constraints whose scope-sets nest within the level bound.  Its
-    objective must equal `value`, and a dual it carries must prove that
-    value optimal."""
+    objective, summed from lambda and the blocks' own costs, must equal
+    `value`, and a dual it carries must prove that value optimal."""
     cert = solution.certificate
     if solution.status != "optimal":
         problems = list(certificate_problems(model.lp, cert, "farkas"))
@@ -312,15 +305,13 @@ def verify_sa(model: SaModel, solution: SaSolution, max_violations: int = 10) ->
         if res > 0 and len(violations) < max_violations:
             violations.append((kind, detail, res))
 
-    def lam_at(i, sigma):
-        return lam.get((i, sigma), Fraction(0))
-
     value = solution.value.frac
     problems = [] if cert is None else list(certificate_problems(model.lp, cert, "dual", value))
     for kind, detail, res in problems:
         note(kind, detail, res)
-    cost = sum((c * lam_at(*model.columns[col]) for col, c in model.lp.objective.items()),
-               Fraction(0))
+    cost = sum((c * lam.get((i, sigma), 0)
+                for i, entry in enumerate(model.aug) if not entry.is_null
+                for sigma, c in entry.assignments(d)), Fraction(0))
     note("objective", "c.lambda", cost - value)
 
     # the block conditions in integers: every lambda over one common

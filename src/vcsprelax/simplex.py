@@ -1,6 +1,7 @@
 """Exact linear programming over rationals: floats propose, rationals decide.
 
-Every program first asks HiGHS.  Its answer is a proposal only.  The
+Every program first asks HiGHS, with `eq` rows as equalities and `le`
+rows as inequalities, as written.  Its answer is a proposal only.  The
 point and duals of an optimum, or the ray of a bounded Farkas LP when
 HiGHS finds the rows infeasible, are rounded to rationals on a fixed
 ladder of denominator bounds and accepted only when `certificate_problems`
@@ -10,7 +11,8 @@ gives none, as for an unbounded program) does the cold two-phase simplex
 answer.  Its phase-1 reduced costs give a Farkas ray for free, so every
 infeasible answer carries one; its optima carry no dual.  It stops with
 `NonConvergence` once its pivots have made `_WORK_BUDGET` rational entry
-updates.
+updates.  It alone needs standard form (a slack per `le` row, every rhs
+made >= 0), and it turns its ray back to the rows as written.
 
 Rows are kept as sparse {column: coefficient} dicts.  Pivoting uses
 largest-coefficient pricing but switches permanently to Bland's rule after a
@@ -69,7 +71,7 @@ class ExactLP:
             if not 0 <= c < self.num_vars:
                 raise ValueError(f"column {c} out of range")
             v = _num(v)
-            if v != 0:
+            if v:
                 clean[c] = v
         return clean
 
@@ -244,12 +246,6 @@ def _rounded(values, bound):
     return out
 
 
-def _unflipped(y, flipped):
-    """Multipliers of the standard-form rows, back in the orientation of
-    `ExactLP.rows` (solve_lp negates a row whose rhs is negative)."""
-    return [-v if i in flipped else v for i, v in enumerate(y)]
-
-
 def certificate_problems(lp, cert, kind, value=None, x=None):
     """Exact check of an LP certificate of `kind` against `lp.rows` as
     written, with no solver code: yields (kind, detail, residual) for each
@@ -302,68 +298,92 @@ def certificate_problems(lp, cert, kind, value=None, x=None):
         yield (kind, "b.y", by - value)
 
 
-def _float_guided_tableau(lp, rows, rhs, flipped, total_cols):
+def _float_guided_tableau(lp):
     """Ask HiGHS for an answer and return it as a certified LPResult, or
     None when no rounding of it checks and the caller must pivot.
 
-    For an optimum, HiGHS's point and duals are rounded together on each
-    rung of `_DENOMINATORS` until they form an exact optimal primal-dual
-    pair.  When HiGHS finds the rows infeasible, a second call solves the
-    bounded Farkas LP max b.y s.t. A^T y <= 0, -1 <= y <= 1 over the
-    standard-form rows, and its rounded y must be an exact ray.  Both are
-    judged by `certificate_problems` against `lp.rows`, so floats never
-    touch a returned number.  (The name predates this role; the
-    benchmark's tracer in bench/spans.py wraps it under that name.)
+    HiGHS gets `lp.rows` as written: `eq` rows as A_eq, `le` rows as
+    A_ub.  For an optimum, its point and its multipliers on both kinds of
+    row are rounded together on each rung of `_DENOMINATORS` until they
+    form an exact optimal primal-dual pair.  When HiGHS finds the rows
+    infeasible, a second call solves the bounded Farkas LP
+    max b.y s.t. A^T y <= 0 over the same rows, with -1 <= y <= 0 on `le`
+    rows and -1 <= y <= 1 on `eq` rows, and its rounded y must be an
+    exact ray.  Both are judged by `certificate_problems` against
+    `lp.rows`, so floats never touch a returned number.  (The name
+    predates this role; the benchmark's tracer in bench/spans.py wraps it
+    under that name.)
     """
     try:
         import numpy as np
         from scipy.optimize import linprog
-        from scipy.sparse import csc_matrix
+        from scipy.sparse import csr_matrix
     except ImportError:  # pragma: no cover
         return None
-    m = len(rows)
+    m = len(lp.rows)
     data, ri, ci = [], [], []
-    for i, row in enumerate(rows):
-        for c, v in row.items():
+    for i, (coeffs, _, _) in enumerate(lp.rows):
+        for c, v in coeffs.items():
             ri.append(i)
             ci.append(c)
             data.append(float(v))
-    cols = max(total_cols, 1)   # HiGHS wants a column; a zero one is harmless
-    mat = csc_matrix((data, (ri, ci)), shape=(m, cols))
-    bvec = np.array([float(v) for v in rhs])
+    cols = max(lp.num_vars, 1)   # HiGHS wants a column; a zero one is harmless
+    mat = csr_matrix((data, (ri, ci)), shape=(m, cols))
+    bvec = np.array([float(b) for _, b, _ in lp.rows])
+    eq = np.array([kind == "eq" for _, _, kind in lp.rows], dtype=bool)
     cvec = np.zeros(cols)
     for c, v in lp.objective.items():
         cvec[c] = float(v)
     try:
-        res = linprog(cvec, A_eq=mat, b_eq=bvec, bounds=(0, None), method="highs")
+        res = linprog(cvec, A_ub=mat[~eq], b_ub=bvec[~eq], A_eq=mat[eq],
+                      b_eq=bvec[eq], bounds=(0, None), method="highs")
         if res.status == 2:
             ray = linprog(-bvec, A_ub=mat.T, b_ub=np.zeros(cols),
-                          bounds=(-1, 1), method="highs")
+                          bounds=np.column_stack([-np.ones(m), eq]),
+                          method="highs")
     except Exception:
         return None
     if res.status == 2:
         if not ray.success:
             return None
         for bound in _DENOMINATORS:
-            cert = Certificate("farkas", _unflipped(_rounded(ray.x.tolist(), bound), flipped))
+            cert = Certificate("farkas", _rounded(ray.x.tolist(), bound))
             if next(certificate_problems(lp, cert, "farkas"), None) is None:
                 return LPResult("infeasible", certificate=cert, path="certified")
         return None
     if not res.success:
         return None
     xs = res.x[:lp.num_vars].tolist()
-    ys = res.eqlin.marginals.tolist()
+    ys = np.zeros(m)
+    ys[eq] = res.eqlin.marginals
+    ys[~eq] = res.ineqlin.marginals
+    ys = ys.tolist()
     for bound in _DENOMINATORS:
         x = _rounded(xs, bound)
         value = sum((v * x[c] for c, v in lp.objective.items()), _ZERO)
-        cert = Certificate("dual", _unflipped(_rounded(ys, bound), flipped))
+        cert = Certificate("dual", _rounded(ys, bound))
         if next(certificate_problems(lp, cert, "dual", value, x), None) is None:
             return LPResult("optimal", value, x, certificate=cert, path="certified")
     return None
 
 
-def _two_phase(rows, rhs, objective, n, total_cols):
-    """Cold two-phase simplex on the standard-form rows (rhs >= 0)."""
+def _two_phase(lp):
+    """Cold two-phase simplex.  It works on the standard form: one slack
+    per `le` row, then every row with a negative rhs negated; a ray it
+    finds is turned back to the orientation of `lp.rows`."""
+    n = total_cols = lp.num_vars
+    rows, rhs, flipped = [], [], set()
+    for i, (coeffs, b, kind) in enumerate(lp.rows):
+        row = dict(coeffs)
+        if kind == "le":
+            row[total_cols] = _ONE
+            total_cols += 1
+        if b < 0:
+            row = {c: -v for c, v in row.items()}
+            b = -b
+            flipped.add(i)
+        rows.append(row)
+        rhs.append(b)
     # initial basis: reuse a slack when its row kept +1 sign, else artificial
     basis = []
     art_cols = []
@@ -394,8 +414,9 @@ def _two_phase(rows, rhs, objective, n, total_cols):
         if z != 0:
             # the phase-1 duals y = c_B B^-1 are a Farkas ray: the starting
             # basis is an identity, so y_i is the cost of row i's starting
-            # column less its reduced cost
+            # column less its reduced cost, negated on a flipped row
             y = [phase1_cost.get(b, _ZERO) - zrow.get(b, _ZERO) for b in start]
+            y = [-v if i in flipped else v for i, v in enumerate(y)]
             return LPResult("infeasible", pivots=tab.pivots,
                             certificate=Certificate("farkas", y))
         art_set = set(art_cols)
@@ -420,7 +441,7 @@ def _two_phase(rows, rhs, objective, n, total_cols):
             for c in art_set:
                 row.pop(c, None)
 
-    cost = {c: _num(v) for c, v in objective.items()}
+    cost = lp.objective
     status, _, _ = tab.solve(cost, set(range(total_cols)))
     if status == "unbounded":
         return LPResult("unbounded", pivots=tab.pivots)
@@ -430,39 +451,13 @@ def _two_phase(rows, rhs, objective, n, total_cols):
 
 
 def solve_lp(lp: ExactLP) -> LPResult:
-    """Solve `lp` exactly; see the module docstring for the paths.
-
-    Any certificate on the result is written against `lp.rows` as given,
-    before the rhs signs are normalized.
-    """
-    n = lp.num_vars
-    # standard form: append one slack per <= row, then make every rhs >= 0
-    rows = []
-    rhs = []
-    flipped = set()
-    col = n
-    for i, (coeffs, b, kind) in enumerate(lp.rows):
-        row = dict(coeffs)
-        if kind == "le":
-            row[col] = _ONE
-            col += 1
-        b = _num(b)
-        if b < 0:
-            row = {c: -v for c, v in row.items()}
-            b = -b
-            flipped.add(i)
-        rows.append(row)
-        rhs.append(b)
-    total_cols = col
-
-    res = _float_guided_tableau(lp, rows, rhs, flipped, total_cols)
+    """Solve `lp` exactly; see the module docstring for the paths.  Any
+    certificate on the result is written against `lp.rows` as given."""
+    res = _float_guided_tableau(lp)
     if res is None:
-        res = _two_phase(rows, rhs, lp.objective, n, total_cols)
-        if res.certificate is not None:
-            res.certificate = Certificate(res.certificate.kind,
-                                          _unflipped(res.certificate.y, flipped))
+        res = _two_phase(lp)
     if res.x is not None:
-        res.x = [_to_fraction(v) for v in res.x[:n]]
+        res.x = [_to_fraction(v) for v in res.x]
         res.value = _to_fraction(res.value)
     if res.certificate is not None:
         res.certificate = Certificate(res.certificate.kind,

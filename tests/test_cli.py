@@ -593,6 +593,24 @@ def test_exit_code_linear_algebra_failure(capsys, demo, monkeypatch):
     assert err.startswith("error: linear algebra failure")
 
 
+def test_exit_code_failed_allocation(capsys, demo, monkeypatch):
+    # an array the host cannot hold ends as a cap, exit 3, and not as a
+    # MemoryError traceback: in the Gram builder and in the solver
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.50 GiB for an array")
+
+    for stage, target in (("build_las", "_pair_keys"), ("solve_sdp", "_factor_ties")):
+        with monkeypatch.context() as m:
+            m.setattr(lasserre, target, fail)
+            rc, out, err = _run(
+                capsys,
+                ["relax", "--language", demo["lang"], "--instance", demo["inst"],
+                 "--mode", "las"],
+            )
+        assert rc == 3
+        assert err.startswith(f"error: {stage}: allocation failed")
+
+
 def test_exit_code_lp_work_budget(capsys, demo, monkeypatch):
     # no rung certifies HiGHS's proposal, so the two-phase simplex runs,
     # and it stops at its first update: the exact LP's budget, exit 4

@@ -412,9 +412,13 @@ def test_tie_projection_matches_least_squares():
         # least-norm solution of (A / root) z = a - A v
         z = np.linalg.lstsq(A / root, model.a - A @ v, rcond=None)[0]
         assert np.abs(y - (v + z / root)).max() <= 1e-9
+        # the kept rows are stored over the touched classes only
+        assert fact.A_red.shape[1] == len(fact.touched) <= model.num_classes
+        A_red = np.zeros((fact.A_red.shape[0], model.num_classes))
+        A_red[:, fact.touched] = fact.A_red
         # the multipliers: A_red^T mu closest to g in the 1/weights metric
         g = rng.normal(size=model.num_classes)
-        mu = np.linalg.lstsq(fact.A_red.T / root[:, None], g / root,
+        mu = np.linalg.lstsq(A_red.T / root[:, None], g / root,
                              rcond=None)[0]
         assert np.abs(fact.multipliers(g) - mu).max() <= 1e-8 * max(
             1.0, np.abs(mu).max())

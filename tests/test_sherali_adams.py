@@ -75,6 +75,62 @@ def _random_instance(rng, n, d, q):
     return inst
 
 
+def _reference_lp(instance, level, subset_mode="full"):
+    """The lambda-form LP that build_sa wrote before its moment
+    coordinates: one column per (block, feasible assignment), unit mass
+    per block, small blocks tied to the designated block of their scope
+    set, wide blocks marginalized onto every size-level subset, and
+    designated blocks chained down one variable at a time."""
+    d = instance.domain_size
+    aug, designated = sherali_adams.augment_instance(instance, level, subset_mode)
+    col_of = {}
+    objective = {}
+    for i, entry in enumerate(aug):
+        for sigma, cost in entry.assignments(d):
+            col_of[(i, sigma)] = len(col_of)
+            if cost:
+                objective[col_of[(i, sigma)]] = cost
+    lp = ExactLP(len(col_of))
+    lp.set_objective(objective)
+
+    def tie(plus, minus):
+        row = {}
+        for key in plus:
+            if key in col_of:
+                row[col_of[key]] = row.get(col_of[key], 0) + 1
+        for key in minus:
+            if key in col_of:
+                row[col_of[key]] = row.get(col_of[key], 0) - 1
+        if row:
+            lp.add_eq(row, 0)
+
+    for i, entry in enumerate(aug):
+        lp.add_eq({col_of[(i, sigma)]: 1 for sigma, _ in entry.assignments(d)}, 1)
+    for i, entry in enumerate(aug):
+        x_i = entry.vars
+        if entry.is_null:
+            continue
+        if len(x_i) <= level:
+            j = designated[x_i]
+            for sigma in itertools.product(range(d), repeat=len(x_i)):
+                if j != i:
+                    tie([(i, sigma)], [(j, sigma)])
+            continue
+        for sub in itertools.combinations(x_i, level):
+            idx = [x_i.index(v) for v in sub]
+            for tau in itertools.product(range(d), repeat=level):
+                tie([(i, sigma) for sigma in entry.feasible_set(d)
+                     if tuple(sigma[t] for t in idx) == tau],
+                    [(designated[sub], tau)])
+    for x, i in designated.items():
+        for t in range(len(x) if len(x) > 1 else 0):
+            sub = x[:t] + x[t + 1:]
+            for tau in itertools.product(range(d), repeat=len(sub)):
+                tie([(i, tau[:t] + (a,) + tau[t:]) for a in range(d)],
+                    [(designated[sub], tau)])
+    return lp
+
+
 def test_build_counts_single_binary():
     inst = VCSPInstance(2, 2).add_constraint(imp_soft(), (0, 1))
     model = build_sa(inst, 2)
@@ -83,11 +139,16 @@ def test_build_counts_single_binary():
     assert set(model.designated) == {(0,), (1,), (0, 1)}
     assert model.designated[(0, 1)] == 0
     assert len(model.aug) == 3
-    # 4 feasible constraint columns plus 2 + 2 singleton null columns
-    assert model.num_columns == 8
-    # objective touches only the real constraint's block
-    cost_cols = set(model.lp.objective)
-    assert cost_cols == {model.col_of[(0, (1, 0))]}
+    # moments y(empty), y(x0=1), y(x1=1), y(x0=x1=1), and 4 feasible
+    # constraint assignments plus 2 + 2 singleton null ones as lambda
+    assert model.moments == [((), ()), ((0,), (1,)), ((1,), (1,)), ((0, 1), (1, 1))]
+    assert model.num_columns == 4
+    assert len(model.expansion) == 8
+    # 1[x0=1, x1=0] = y(x0=1) - y(x0=x1=1) carries the only cost, and
+    # one row per lambda entry joins y(empty) = 1
+    assert model.expansion[(0, (1, 0))] == {1: 1, 3: -1}
+    assert model.lp.objective == {1: 1, 3: -1}
+    assert model.num_rows == 9
 
 
 def test_designated_blocks_unique_per_scope_set():
@@ -222,6 +283,22 @@ def test_column_cap():
     inst = VCSPInstance(6, 2).add_constraint(imp_soft(), (0, 1))
     with pytest.raises(CapExceeded):
         build_sa(inst, 3, column_cap=10)
+
+
+def test_expansion_needs_designated_subsets(monkeypatch):
+    # the Moebius expansion of a scope set reads the moments of all its
+    # subsets, so a designated set without its subsets is a fault
+    real = sherali_adams.augment_instance
+
+    def drop_singleton(*args):
+        aug, designated = real(*args)
+        del designated[(0,)]
+        return aug, designated
+
+    monkeypatch.setattr(sherali_adams, "augment_instance", drop_singleton)
+    inst = VCSPInstance(2, 2).add_constraint(imp_soft(), (0, 1))
+    with pytest.raises(InternalError, match="lacks a designated subset"):
+        build_sa(inst, 2)
 
 
 def test_verify_clean_solution():
@@ -428,20 +505,26 @@ def test_submodular_optimum_certified_by_dual(monkeypatch):
     assert sol.value == ExtValue(Fraction(1))
     sol.certificate = Certificate("dual", [Fraction(0)] * model.num_rows)
     assert not verify_sa(model, sol).ok
-    # forced past the ladder, the cold two-phase simplex on these 1286
-    # rows outruns its work budget (lowered here so the test stays short)
-    # and stops with NonConvergence instead of answering
+    # forced past the ladder, the cold two-phase simplex reproduces the
+    # value under the default budget, and stops with NonConvergence
+    # instead of answering once the budget is cut below what it needs
     _uncertified(monkeypatch)
-    monkeypatch.setattr(simplex, "_WORK_BUDGET", 300_000)
-    with pytest.raises(NonConvergence, match="work budget of 300000"):
+    ref = solve_lp_exact(model)
+    assert (ref.path, ref.value) == ("two-phase", sol.value)
+    assert verify_sa(model, ref).ok
+    monkeypatch.setattr(simplex, "_WORK_BUDGET", 1_000)
+    with pytest.raises(NonConvergence, match="work budget of 1000"):
         solve_lp_exact(model)
 
 
-def _large_models(rng, count):
-    """Random SA models of at least 150 rows: weighted binary and
-    ternary instances at level 2, and parity pairs at level 3."""
+def _large_models(rng, count, draws=100):
+    """Random SA models whose lambda-form LP has at least 150 rows:
+    weighted binary and ternary instances at level 2, and parity pairs
+    at level 3.  At most `draws` instances are drawn."""
     out = []
-    while len(out) < count:
+    for _ in range(draws):
+        if len(out) == count:
+            return out
         if len(out) % 3 == 2:
             n = 5
             inst = VCSPInstance(n, 2)
@@ -451,10 +534,9 @@ def _large_models(rng, count):
         else:
             inst = _random_instance(rng, rng.randint(7, 8), 2, rng.randint(6, 12))
             level = 2
-        model = build_sa(inst, level)
-        if model.num_rows >= 150:
-            out.append(model)
-    return out
+        if len(_reference_lp(inst, level).rows) >= 150:
+            out.append(build_sa(inst, level))
+    raise AssertionError(f"{draws} draws gave {len(out)} of {count} models")
 
 
 def test_certified_and_pivoted_answers_agree(monkeypatch):
@@ -469,6 +551,61 @@ def test_certified_and_pivoted_answers_agree(monkeypatch):
         ref = solve_lp_exact(model)
         assert ref.path != "certified"
         assert (ref.status, ref.value) == (sol.status, sol.value)
+
+
+def test_moment_lp_matches_reference():
+    # the moment LP and the lambda-form reference agree in status and
+    # exact value: random instances at levels 1-3 and at full level (wide
+    # blocks at level 1, d = 3 among them) in both subset modes, and the
+    # ten large models
+    rng = random.Random(37)
+    cases = []
+    for level in (1, 2, 3, None):
+        for mode in ("full", "scopes"):
+            for _ in range(4):
+                inst = _random_instance(rng, rng.randint(1, 4), rng.choice([2, 3]),
+                                        rng.randint(1, 5))
+                cases.append((inst, level or max(1, inst.num_vars), mode))
+    cases += [(m.instance, m.level, m.subset_mode)
+              for m in _large_models(random.Random(11), 10)]
+    statuses = set()
+    for inst, level, mode in cases:
+        want = solve_lp(_reference_lp(inst, level, mode))
+        model = build_sa(inst, level, mode)
+        got = solve_lp_exact(model)
+        assert got.status == want.status
+        assert got.value == (INF if want.status == "infeasible" else ExtValue(want.value))
+        assert verify_sa(model, got).ok
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+
+def _weighted_instance(rng):
+    """12 binary tables on 8 variables, each entry k/p with p a prime
+    from 101 to 157: LPs whose optima have denominators of many digits,
+    which no rung of the ladder reaches."""
+    inst = VCSPInstance(8, 2)
+    for i in range(12):
+        table = [Fraction(rng.randint(1, 100), rng.choice(PRIMES)) for _ in range(4)]
+        inst.add_constraint(WeightedRelation(f"w{i}", 2, 2, table), rng.sample(range(8), 2))
+    return inst
+
+
+def test_repair_path_answers_weighted_lps(monkeypatch):
+    # the two-phase simplex answers every level-3 weighted LP within a
+    # budget of 1,000,000 updates, and verify_sa accepts each lambda
+    _uncertified(monkeypatch)
+    monkeypatch.setattr(simplex, "_WORK_BUDGET", 1_000_000)
+    for seed in range(10):
+        inst = _weighted_instance(random.Random(seed))
+        model = build_sa(inst, 3)
+        sol = solve_lp_exact(model)
+        assert (sol.status, sol.path) == ("optimal", "two-phase")
+        assert verify_sa(model, sol).ok
+        assert sol.value <= brute_force_opt(inst)[0]
 
 
 def _fpol_lps(monkeypatch):
