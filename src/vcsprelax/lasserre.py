@@ -404,8 +404,8 @@ class NumericallyInfeasible:
     itself is inconsistent (decided before iterating), `certificate`
     when a candidate (S, t, mu) from the scaled duals passed
     `certificate_bound`.  `bound` is that candidate's beta divided by
-    its scale, below -DEFAULT_DELTA_INF; it is -inf for the tie system, whose
-    certificate uses tie rows alone (S = 0, scale 0).  `displacement`
+    its scale, below -DEFAULT_DELTA_INF; it is -inf for the tie system,
+    whose certificate uses tie rows alone (S = 0, scale 0).  `displacement`
     is the distance between the two projection outputs at the stop
     (infinity for the tie system).  `checks` counts the certificate
     checks run, the certifying one included (0 for the tie system).
@@ -679,16 +679,17 @@ def solve_sdp(
     the candidate S = -U, t = -u (U is M(y) + U before the update less
     its projection onto the face's cone, u = min(y + u, 0)), mu is the
     weighted least-squares fit of the class sums, and the run stops once
-    `certificate_bound` gives beta < -DEFAULT_DELTA_INF * scale (see the module
-    docstring for why beta < 0 rules out every feasible point).  Both
-    results count the checks run in `checks`.  Raises NonConvergence
-    when the primal residual, looked at every 50 iterations, stalls
-    above DEFAULT_DELTA_INF without a certificate, after max_iter undecided
-    iterations, when a factorization or eigendecomposition fails, or
-    when an iterate turns non-finite (the tie solve refuses it), and
-    CapExceeded when an allocation fails.  The penalty rho starts at _RHO_START and adapts within
-    [_RHO_MIN, _RHO_MAX]; results record its schedule in `rho_schedule`.
-    Deterministic for fixed inputs.
+    `certificate_bound` gives beta < -DEFAULT_DELTA_INF * scale (see the
+    module docstring for why beta < 0 rules out every feasible point).
+    Both results count the checks run in `checks`.  Raises
+    NonConvergence when the primal residual, looked at every 50
+    iterations, stalls above DEFAULT_DELTA_INF without a certificate,
+    after max_iter undecided iterations, when a factorization or
+    eigendecomposition fails, or when an iterate turns non-finite (the
+    tie solve refuses it), and CapExceeded when an allocation fails.
+    The penalty rho starts at _RHO_START and adapts within
+    [_RHO_MIN, _RHO_MAX]; results record its schedule in
+    `rho_schedule`.  Deterministic for fixed inputs.
     """
     try:
         return _split(model, eps, max_iter)

@@ -84,7 +84,7 @@ class SaModel:
         self.aug = aug                  # originals first, then null blocks
         self.designated = designated    # sorted var tuple -> aug index
         self.moments = moments          # (U, alpha) of each moment column
-        self.expansion = expansion      # (aug index, feasible sigma) -> {column: coeff}
+        self.expansion = expansion      # (aug index, feasible sigma) -> P row
         self.lp = lp
 
     @property
@@ -175,9 +175,12 @@ def _expansion(U, d, column):
         on = [t for t, a in enumerate(tau) if a]
         col[tau] = column[(tuple(U[t] for t in on), tuple(tau[t] for t in on))]
         nnz[tau] = len(on)
-    return {sigma: {col[tau]: (-1) ** (nnz[tau] - nnz[sigma])
-                    for tau in itertools.product(*[(s,) if s else range(d) for s in sigma])}
-            for sigma in col}
+    out = {}
+    for sigma in col:
+        free = [(s,) if s else range(d) for s in sigma]
+        out[sigma] = {col[tau]: (-1) ** (nnz[tau] - nnz[sigma])
+                      for tau in itertools.product(*free)}
+    return out
 
 
 def build_sa(
@@ -208,7 +211,8 @@ def build_sa(
     if sum(map(len, costs)) > column_cap:
         raise CapExceeded(f"column count exceeds cap {column_cap}")
     n = len(moments)
-    lp = ExactLP(n + sum(len(costs[i]) for i, e in enumerate(aug) if len(e.vars) > level))
+    wide = sum(len(costs[i]) for i, e in enumerate(aug) if len(e.vars) > level)
+    lp = ExactLP(n + wide)
     lp.add_eq({0: 1}, 1)
     expansion = {}
     objective = {}
@@ -238,8 +242,9 @@ def build_sa(
             lp.add_le({c: -v for c, v in row.items()}, 0)
             expansion[(i, sigma)] = row
             cost = costs[i][sigma]
-            for c, v in row.items() if cost else ():
-                objective[c] = objective.get(c, 0) + v * cost
+            if cost:
+                for c, v in row.items():
+                    objective[c] = objective.get(c, 0) + v * cost
     lp.set_objective(objective)
     return SaModel(instance, level, subset_mode, aug, designated, moments, expansion, lp)
 
